@@ -29,6 +29,8 @@ use crate::server::{Server, ServerDead};
 pub struct ClientConn {
     server: Arc<Server>,
     client_id: ClientId,
+    /// Every request is encoded into this one buffer (the queue copies).
+    frame: Vec<u8>,
     /// The client-side pipelining window (how many requests may be
     /// outstanding before `submit` blocks reaping). Kept at or below the
     /// server's admission window in the benches so admission parking is
@@ -59,6 +61,7 @@ impl ClientConn {
     ) -> Self {
         assert!(window >= 1, "a zero window can never submit");
         ClientConn {
+            frame: Vec::new(),
             server,
             client_id,
             window,
@@ -119,7 +122,7 @@ impl ClientConn {
         if let Some(log) = &mut self.sent_log {
             log.push(req.clone());
         }
-        self.server.submit(&req)?;
+        self.server.submit_with(&req, &mut self.frame)?;
         Ok(req.seq_no)
     }
 
@@ -181,6 +184,7 @@ impl ClientConn {
     /// applied and executes only the new tail.
     pub fn restart(self) -> Result<ClientConn, ServerDead> {
         let mut conn = ClientConn {
+            frame: self.frame,
             server: self.server,
             client_id: self.client_id,
             window: self.window,
@@ -192,8 +196,8 @@ impl ClientConn {
             sent_log: self.sent_log,
         };
         for req in self.unacked {
-            conn.unacked.push_back(req.clone());
-            conn.server.submit(&req)?;
+            conn.server.submit_with(&req, &mut conn.frame)?;
+            conn.unacked.push_back(req);
         }
         Ok(conn)
     }
@@ -209,7 +213,7 @@ impl ClientConn {
         let mut sent = 0;
         for req in &log {
             if req.seq_no <= self.highest_acked {
-                self.server.submit(req)?;
+                self.server.submit_with(req, &mut self.frame)?;
                 sent += 1;
             }
         }
@@ -274,6 +278,33 @@ mod tests {
         let seqs: Vec<SeqNo> = c.replies().iter().map(|r| r.seq_no).collect();
         assert_eq!(seqs, (1..=12).collect::<Vec<_>>());
         assert!(c.replies().iter().all(|r| r.status.ok()));
+        srv.shutdown();
+    }
+
+    #[test]
+    fn polling_without_waiting_reaps_every_ack_in_order() {
+        const OPS: SeqNo = 5_000;
+        let srv = server();
+        let mut c = ClientConn::connect(Arc::clone(&srv), 3, 4, false);
+        for _ in 0..OPS {
+            while c.unacked().count() == 4 {
+                assert!(c.reap(false));
+            }
+            c.submit(Op::Open {
+                name: "absent".into(),
+            })
+            .unwrap();
+        }
+        while c.unacked().count() > 0 {
+            assert!(c.reap(false));
+        }
+        let seqs: Vec<SeqNo> = c.replies().iter().map(|r| r.seq_no).collect();
+        assert_eq!(seqs, (1..=OPS).collect::<Vec<_>>());
+        assert_eq!(srv.stats().executed, OPS);
+        // Blocking reaps still work on the same connection.
+        c.submit(Op::Sync).unwrap();
+        assert!(c.drain());
+        assert_eq!(c.replies().len() as u64, OPS + 1);
         srv.shutdown();
     }
 

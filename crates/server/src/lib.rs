@@ -59,8 +59,9 @@ pub mod session;
 
 pub use client::ClientConn;
 pub use protocol::{
-    decode_request, encode_request, ClientId, FrameError, Handle, Op, Reply, Request, SeqNo, Status,
+    decode_request, encode_request, encode_request_into, ClientId, FrameError, Handle, Op, Reply,
+    Request, SeqNo, Status,
 };
-pub use queue::BoundedQueue;
+pub use queue::{BoundedQueue, FrameBatch};
 pub use server::{Server, ServerConfig, ServerDead, ServerStats};
 pub use session::{Dispatch, Session, SessionTable};

@@ -196,27 +196,50 @@ fn put_u64(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
+/// Bytes `op`'s payload takes in a frame.
+fn payload_len(op: &Op) -> usize {
+    match op {
+        Op::Create { name, .. } => 2 + name.len() + 1 + 8,
+        Op::Open { name } => 2 + name.len(),
+        Op::Write { .. } | Op::Read { .. } => 8 + 4 + 8 + 8,
+        Op::Sync => 0,
+        Op::Close { .. } => 8,
+    }
+}
+
 /// Encode `req` into one checksummed frame.
 pub fn encode_request(req: &Request) -> Vec<u8> {
-    let mut out = Vec::with_capacity(64);
+    let mut out = Vec::new();
+    encode_request_into(&mut out, req);
+    out
+}
+
+/// Encode `req` into `out`, replacing what `out` held. The frame's length
+/// is known before the first byte is written, so `out` grows at most once,
+/// to exactly that length — and not at all once it has held a frame as
+/// long: a caller that keeps `out` encodes without touching the heap.
+pub fn encode_request_into(out: &mut Vec<u8>, req: &Request) {
+    let len = HEADER_BYTES + payload_len(&req.op) + CHECKSUM_BYTES;
+    out.clear();
+    out.reserve_exact(len);
     out.extend_from_slice(&MAGIC);
-    put_u32(&mut out, 0); // frame length, patched below
-    put_u64(&mut out, req.client_id);
-    put_u64(&mut out, req.seq_no);
-    put_u64(&mut out, req.sent_at_ns);
+    put_u32(out, len as u32);
+    put_u64(out, req.client_id);
+    put_u64(out, req.seq_no);
+    put_u64(out, req.sent_at_ns);
     out.push(req.op.opcode());
     match &req.op {
         Op::Create {
             name,
             size_hint_blocks,
         } => {
-            put_u16(&mut out, name.len() as u16);
+            put_u16(out, name.len() as u16);
             out.extend_from_slice(name.as_bytes());
             out.push(size_hint_blocks.is_some() as u8);
-            put_u64(&mut out, size_hint_blocks.unwrap_or(0));
+            put_u64(out, size_hint_blocks.unwrap_or(0));
         }
         Op::Open { name } => {
-            put_u16(&mut out, name.len() as u16);
+            put_u16(out, name.len() as u16);
             out.extend_from_slice(name.as_bytes());
         }
         Op::Write {
@@ -231,21 +254,19 @@ pub fn encode_request(req: &Request) -> Vec<u8> {
             offset,
             len,
         } => {
-            put_u64(&mut out, *handle);
-            put_u32(&mut out, *stream);
-            put_u64(&mut out, *offset);
-            put_u64(&mut out, *len);
+            put_u64(out, *handle);
+            put_u32(out, *stream);
+            put_u64(out, *offset);
+            put_u64(out, *len);
         }
         Op::Sync => {}
         Op::Close { handle } => {
-            put_u64(&mut out, *handle);
+            put_u64(out, *handle);
         }
     }
-    let len = (out.len() + CHECKSUM_BYTES) as u32;
-    out[4..8].copy_from_slice(&len.to_le_bytes());
-    let sum = checksum(&out);
-    put_u64(&mut out, sum);
-    out
+    let sum = checksum(out);
+    put_u64(out, sum);
+    debug_assert_eq!(out.len(), len, "payload_len disagrees with the encoder");
 }
 
 struct Cursor<'a> {
@@ -396,6 +417,38 @@ mod tests {
             };
             let frame = encode_request(&req);
             assert_eq!(decode_request(&frame), Ok(req.clone()), "op {i}");
+        }
+    }
+
+    #[test]
+    fn encoding_sizes_the_frame_exactly_and_never_grows_a_warm_buffer() {
+        let longest = "n".repeat(u16::MAX as usize);
+        let mut ops = sample_ops();
+        ops.push(Op::Open { name: "".into() });
+        ops.push(Op::Open {
+            name: longest.clone(),
+        });
+        // Last, so that the loop below starts from the longest frame.
+        ops.push(Op::Create {
+            name: longest,
+            size_hint_blocks: Some(1),
+        });
+        let mut warm = Vec::new();
+        let mut warmed = None;
+        for (i, op) in ops.into_iter().enumerate().rev() {
+            let req = Request {
+                client_id: 5,
+                seq_no: i as u64 + 1,
+                sent_at_ns: 9,
+                op,
+            };
+            let frame = encode_request(&req);
+            assert_eq!(frame.capacity(), frame.len(), "op {i} over-reserved");
+            encode_request_into(&mut warm, &req);
+            assert_eq!(warm, frame, "op {i}");
+            let buffer = *warmed.get_or_insert((warm.capacity(), warm.as_ptr()));
+            assert_eq!((warm.capacity(), warm.as_ptr()), buffer, "op {i} grew it");
+            assert_eq!(decode_request(&warm), Ok(req), "op {i}");
         }
     }
 

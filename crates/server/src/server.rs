@@ -37,8 +37,10 @@ use std::time::{Duration, Instant};
 use mif_alloc::{FileId, StreamId};
 use mif_core::{ConcurrentFs, OpenFile};
 
-use crate::protocol::{decode_request, ClientId, Op, Reply, Request, SeqNo, Status};
-use crate::queue::BoundedQueue;
+use crate::protocol::{
+    decode_request, encode_request_into, ClientId, Op, Reply, Request, SeqNo, Status,
+};
+use crate::queue::{BoundedQueue, FrameBatch};
 use crate::session::{Dispatch, Session, SessionTable};
 
 /// Tunables of the service layer (engine tunables live in `FsConfig`).
@@ -200,6 +202,13 @@ impl Server {
     /// shard. Never drops and never reorders a client's requests — a full
     /// queue parks the submitter until the worker frees space.
     pub fn submit(&self, req: &Request) -> Result<(), ServerDead> {
+        self.submit_with(req, &mut Vec::new())
+    }
+
+    /// [`Self::submit`] for a caller that keeps a buffer to encode into:
+    /// no allocation once `frame` has held a frame as long (the queue
+    /// copies it).
+    pub(crate) fn submit_with(&self, req: &Request, frame: &mut Vec<u8>) -> Result<(), ServerDead> {
         if self.is_dead() {
             return Err(ServerDead);
         }
@@ -207,15 +216,11 @@ impl Server {
         if !session.admit(self.cfg.admission_window, &self.dead) {
             return Err(ServerDead);
         }
-        let frame = crate::protocol::encode_request(req);
+        encode_request_into(frame, req);
         let shard = (req.client_id % self.queues.len() as u64) as usize;
-        match self.queues[shard].push(frame) {
-            Ok(()) => {
-                self.submitted.fetch_add(1, Ordering::Relaxed);
-                Ok(())
-            }
-            Err(_) => Err(ServerDead),
-        }
+        self.queues[shard].push(frame).map_err(|_| ServerDead)?;
+        self.submitted.fetch_add(1, Ordering::Relaxed);
+        Ok(())
     }
 
     /// Reap the acks delivered to `client_id`'s inbox, in delivery order.
@@ -285,8 +290,10 @@ impl Server {
     // ----- the worker shard ----------------------------------------------
 
     fn worker_loop(&self, shard: usize) {
+        // The worker's own buffer: every batch is drained into it.
+        let mut batch = FrameBatch::default();
         loop {
-            let batch = self.queues[shard].pop_batch(self.cfg.batch);
+            self.queues[shard].pop_batch(self.cfg.batch, &mut batch);
             if batch.is_empty() {
                 return; // closed and drained
             }
@@ -299,11 +306,11 @@ impl Server {
     /// Execute one drained batch and issue its acks under the durability
     /// gate. Returns `false` if a power cut killed the server (no acks
     /// were issued for this batch).
-    fn execute_batch(&self, batch: &[Vec<u8>]) -> bool {
+    fn execute_batch(&self, batch: &FrameBatch) -> bool {
         let mut pending: Vec<PendingAck> = Vec::with_capacity(batch.len());
         // Highest WAL seqno staged by this batch's writes, if any.
         let mut max_wal_seq: Option<u64> = None;
-        for frame in batch {
+        for frame in batch.iter() {
             let Ok(req) = decode_request(frame) else {
                 // Frames are checksummed end-to-end; a decode failure has
                 // no trustworthy client to answer.

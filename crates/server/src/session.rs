@@ -24,7 +24,7 @@
 //! ack delivery after), never across one.
 
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::time::Duration;
 
@@ -55,8 +55,16 @@ struct SessionState {
     inbox: VecDeque<Reply>,
     /// Requests admitted but not yet acked (admission window accounting).
     inflight: usize,
-    /// Times `admit` had to park on a full window.
-    admission_parks: u64,
+}
+
+impl SessionState {
+    /// Where `seq_no`'s reply sits in the replay cache, if it still does.
+    /// The cache holds consecutive seq_nos, so this is a subtraction.
+    fn cached(&self, seq_no: SeqNo) -> Option<usize> {
+        let at = seq_no.checked_sub(self.replay_cache.front()?.seq_no)?;
+        let at = usize::try_from(at).ok()?;
+        (at < self.replay_cache.len()).then_some(at)
+    }
 }
 
 /// One client's service state. See the module docs.
@@ -65,10 +73,12 @@ pub struct Session {
     /// Wakes parked submitters (window space) and reapers (new acks).
     changed: Condvar,
     cache_cap: usize,
+    /// The table's count of `admit` calls that parked, over all sessions.
+    admission_parks: Arc<AtomicU64>,
 }
 
 impl Session {
-    fn new(cache_cap: usize) -> Self {
+    fn new(cache_cap: usize, admission_parks: Arc<AtomicU64>) -> Self {
         assert!(cache_cap > 0, "a session needs at least one cached reply");
         Session {
             state: Mutex::new(SessionState {
@@ -76,10 +86,10 @@ impl Session {
                 replay_cache: VecDeque::with_capacity(cache_cap),
                 inbox: VecDeque::new(),
                 inflight: 0,
-                admission_parks: 0,
             }),
             changed: Condvar::new(),
             cache_cap,
+            admission_parks,
         }
     }
 
@@ -91,7 +101,7 @@ impl Session {
         let token = lockorder::acquire(LockClass::ServerSession);
         let mut st = self.state.lock().unwrap();
         if st.inflight >= window {
-            st.admission_parks += 1;
+            self.admission_parks.fetch_add(1, Ordering::Relaxed);
         }
         while st.inflight >= window {
             if dead.load(Ordering::Acquire) {
@@ -122,8 +132,8 @@ impl Session {
             Dispatch::Execute
         } else if seq_no > st.last_applied {
             Dispatch::Gap
-        } else if let Some(r) = st.replay_cache.iter().find(|r| r.seq_no == seq_no) {
-            Dispatch::Replay(*r)
+        } else if let Some(at) = st.cached(seq_no) {
+            Dispatch::Replay(st.replay_cache[at])
         } else {
             Dispatch::TooOld
         };
@@ -146,6 +156,12 @@ impl Session {
             st.last_applied + 1,
             "mark_applied out of program order"
         );
+        debug_assert!(
+            st.replay_cache
+                .back()
+                .is_none_or(|newest| newest.seq_no + 1 == reply.seq_no),
+            "the replay cache must hold consecutive seq_nos"
+        );
         st.last_applied = reply.seq_no;
         if st.replay_cache.len() == self.cache_cap {
             st.replay_cache.pop_front();
@@ -161,12 +177,8 @@ impl Session {
     pub fn deliver_applied(&self, reply: Reply) {
         let token = lockorder::acquire(LockClass::ServerSession);
         let mut st = self.state.lock().unwrap();
-        if let Some(cached) = st
-            .replay_cache
-            .iter_mut()
-            .find(|c| c.seq_no == reply.seq_no)
-        {
-            cached.acked_at_ns = reply.acked_at_ns;
+        if let Some(at) = st.cached(reply.seq_no) {
+            st.replay_cache[at].acked_at_ns = reply.acked_at_ns;
         }
         st.inbox.push_back(reply);
         st.inflight = st.inflight.saturating_sub(1);
@@ -189,17 +201,15 @@ impl Session {
     pub fn deliver_replay(&self, client_id: ClientId, seq_no: SeqNo, now_ns: u64) {
         let token = lockorder::acquire(LockClass::ServerSession);
         let mut st = self.state.lock().unwrap();
-        let reply = st
-            .replay_cache
-            .iter()
-            .find(|c| c.seq_no == seq_no)
-            .copied()
-            .unwrap_or(Reply {
+        let reply = st.cached(seq_no).map_or(
+            Reply {
                 client_id,
                 seq_no,
                 status: Status::TooOld,
                 acked_at_ns: now_ns,
-            });
+            },
+            |at| st.replay_cache[at],
+        );
         st.inbox.push_back(reply);
         st.inflight = st.inflight.saturating_sub(1);
         drop(st);
@@ -249,14 +259,6 @@ impl Session {
         drop(token);
         v
     }
-
-    /// Times a submitter parked on a full admission window.
-    pub fn admission_parks(&self) -> u64 {
-        let token = lockorder::acquire(LockClass::ServerSession);
-        let v = self.state.lock().unwrap().admission_parks;
-        drop(token);
-        v
-    }
 }
 
 /// The server-wide `client_id → Session` map. Sessions are created on
@@ -265,6 +267,8 @@ impl Session {
 pub struct SessionTable {
     sessions: RwLock<HashMap<ClientId, Arc<Session>>>,
     cache_cap: usize,
+    /// Times any session's `admit` parked on a full window.
+    admission_parks: Arc<AtomicU64>,
 }
 
 impl SessionTable {
@@ -272,6 +276,7 @@ impl SessionTable {
         SessionTable {
             sessions: RwLock::new(HashMap::new()),
             cache_cap,
+            admission_parks: Arc::default(),
         }
     }
 
@@ -281,10 +286,12 @@ impl SessionTable {
             return Arc::clone(s);
         }
         let mut map = self.sessions.write().unwrap();
-        Arc::clone(
-            map.entry(client_id)
-                .or_insert_with(|| Arc::new(Session::new(self.cache_cap))),
-        )
+        Arc::clone(map.entry(client_id).or_insert_with(|| {
+            Arc::new(Session::new(
+                self.cache_cap,
+                Arc::clone(&self.admission_parks),
+            ))
+        }))
     }
 
     /// Number of sessions ever created.
@@ -296,14 +303,9 @@ impl SessionTable {
         self.len() == 0
     }
 
-    /// Sum of admission parks across all sessions.
+    /// Admission parks across all sessions.
     pub fn total_admission_parks(&self) -> u64 {
-        self.sessions
-            .read()
-            .unwrap()
-            .values()
-            .map(|s| s.admission_parks())
-            .sum()
+        self.admission_parks.load(Ordering::Relaxed)
     }
 }
 
@@ -311,6 +313,10 @@ impl SessionTable {
 mod tests {
     use super::*;
     use crate::protocol::Status;
+
+    fn session(cache_cap: usize) -> Session {
+        Session::new(cache_cap, Arc::default())
+    }
 
     fn reply(seq: SeqNo, status: Status) -> Reply {
         Reply {
@@ -323,7 +329,7 @@ mod tests {
 
     #[test]
     fn execute_then_duplicate_replays_the_original() {
-        let s = Session::new(4);
+        let s = session(4);
         assert_eq!(s.dispatch(1), Dispatch::Execute);
         s.deliver_new(reply(1, Status::Handle(42)));
         // The same seq again: replay, with the original handle and the
@@ -340,7 +346,7 @@ mod tests {
 
     #[test]
     fn duplicates_beyond_the_cache_window_are_too_old() {
-        let s = Session::new(2);
+        let s = session(2);
         for seq in 1..=4 {
             assert_eq!(s.dispatch(seq), Dispatch::Execute);
             s.deliver_new(reply(seq, Status::Done));
@@ -352,9 +358,53 @@ mod tests {
     }
 
     #[test]
+    fn replay_lookup_indexes_the_ring_across_wrap() {
+        for cap in [1u64, 4, 64] {
+            let s = session(cap as usize);
+            for seq in 1..=3 * cap + 1 {
+                assert_eq!(s.dispatch(seq), Dispatch::Execute);
+                s.mark_applied(reply(seq, Status::Handle(seq)));
+                // An in-batch duplicate, delivered after its original.
+                s.deliver_applied(Reply {
+                    acked_at_ns: seq + 7,
+                    ..reply(seq, Status::Handle(seq))
+                });
+                s.deliver_replay(1, seq, 0);
+                let oldest = seq.saturating_sub(cap) + 1;
+                for dup in 1..=seq {
+                    let want = if dup < oldest {
+                        Dispatch::TooOld
+                    } else {
+                        Dispatch::Replay(Reply {
+                            acked_at_ns: dup + 7,
+                            ..reply(dup, Status::Handle(dup))
+                        })
+                    };
+                    assert_eq!(s.dispatch(dup), want, "cap {cap} at {seq}, dup {dup}");
+                }
+                assert_eq!(s.dispatch(seq + 2), Dispatch::Gap);
+                if oldest > 1 {
+                    // Just off the front: answered at delivery, too.
+                    s.deliver_replay(1, oldest - 1, 5);
+                }
+                let acks = s.take_acks(false, &AtomicBool::new(false));
+                let stamped = Reply {
+                    acked_at_ns: seq + 7,
+                    ..reply(seq, Status::Handle(seq))
+                };
+                assert_eq!(acks[..2], [stamped, stamped]);
+                if oldest > 1 {
+                    assert_eq!(acks[2].status, Status::TooOld);
+                    assert_eq!(acks[2].seq_no, oldest - 1);
+                }
+            }
+        }
+    }
+
+    #[test]
     fn admission_window_parks_and_releases() {
         let dead = AtomicBool::new(false);
-        let s = Arc::new(Session::new(8));
+        let s = Arc::new(session(8));
         assert!(s.admit(2, &dead));
         assert!(s.admit(2, &dead));
         let parked = {
@@ -369,13 +419,13 @@ mod tests {
         s.dispatch(1);
         s.deliver_new(reply(1, Status::Done));
         assert!(parked.join().unwrap());
-        assert!(s.admission_parks() >= 1);
+        assert!(s.admission_parks.load(Ordering::Relaxed) >= 1);
     }
 
     #[test]
     fn death_unparks_admission_and_reapers() {
         let dead = Arc::new(AtomicBool::new(false));
-        let s = Arc::new(Session::new(2));
+        let s = Arc::new(session(2));
         assert!(s.admit(1, &dead));
         let handles: Vec<_> = [
             {
