@@ -1,44 +1,82 @@
-//! A bounded block cache with LRU eviction.
+//! A bounded block cache with exact LRU eviction, stored as runs.
 //!
 //! Caches whole blocks brought in by reads and readahead; a read fully
 //! covered by cached blocks is a memory hit and costs no disk time. Writes
 //! update the cache (the MDS in the paper runs synchronous writes, so dirty
 //! data still goes to the platter — the cache only short-circuits reads).
+//!
+//! The unit of bookkeeping is the contiguous run, not the block: cached
+//! blocks live as disjoint runs threaded on one LRU list, and the only
+//! index is a B-tree keyed by run start. The LRU order of the *blocks* is
+//! list position first, ascending block number inside a run second. Every
+//! caller touches a range in ascending block order, so "touch a range" is
+//! exactly "cut the range out of whatever runs hold parts of it, leaving
+//! the remainders where they are, and append it at the newest end" — the
+//! victim of every eviction is the one a per-block LRU would pick, at
+//! O(log runs) per request instead of a handful of map operations per block.
 
 use crate::BlockNo;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
+
+/// Slab slot of "no run": list ends and empty-list head/tail.
+const NIL: u32 = u32::MAX;
+
+/// One cached run `start..start + len`, linked into the LRU list.
+#[derive(Debug)]
+struct Run {
+    start: BlockNo,
+    len: u64,
+    /// Neighbour towards the oldest run.
+    prev: u32,
+    /// Neighbour towards the newest run.
+    next: u32,
+}
+
+impl Run {
+    fn end(&self) -> BlockNo {
+        self.start + self.len
+    }
+}
 
 /// Fixed-capacity LRU block cache.
 #[derive(Debug)]
 pub struct BlockCache {
-    capacity: usize,
-    /// block -> LRU tick of last touch (each touch gets a fresh tick, so
-    /// ticks are unique and double as keys into `order`).
-    blocks: HashMap<BlockNo, u64>,
-    /// tick -> block, oldest first: the eviction order. Kept in lockstep
-    /// with `blocks` so eviction pops the front instead of scanning.
-    order: BTreeMap<u64, BlockNo>,
-    tick: u64,
+    capacity: u64,
+    /// Run start -> slab slot. Runs are disjoint, so the run holding block
+    /// `b` is the last one starting at or before `b`, if it reaches `b`.
+    index: BTreeMap<BlockNo, u32>,
+    /// Run slab; slots not in `index` are on `free`.
+    runs: Vec<Run>,
+    free: Vec<u32>,
+    /// Oldest run; eviction trims its low end.
+    head: u32,
+    /// Newest run; touched ranges are appended here.
+    tail: u32,
+    /// Blocks currently cached (sum of run lengths).
+    cached: u64,
 }
 
 impl BlockCache {
     /// `capacity` is in blocks; 0 disables caching entirely.
     pub fn new(capacity: usize) -> Self {
         Self {
-            capacity,
-            blocks: HashMap::with_capacity(capacity.min(1 << 20)),
-            order: BTreeMap::new(),
-            tick: 0,
+            capacity: capacity as u64,
+            index: BTreeMap::new(),
+            runs: Vec::new(),
+            free: Vec::new(),
+            head: NIL,
+            tail: NIL,
+            cached: 0,
         }
     }
 
     /// Number of blocks currently cached.
     pub fn len(&self) -> usize {
-        self.blocks.len()
+        self.cached as usize
     }
 
     pub fn is_empty(&self) -> bool {
-        self.blocks.is_empty()
+        self.cached == 0
     }
 
     /// True if every block of `start..start+len` is cached. Touches the
@@ -47,67 +85,209 @@ impl BlockCache {
         if self.capacity == 0 {
             return false;
         }
-        if !(start..start + len).all(|b| self.blocks.contains_key(&b)) {
+        if len == 0 {
+            return true;
+        }
+        if self.cached_run_len(start, len) < len {
             return false;
         }
-        for b in start..start + len {
-            self.touch(b);
-        }
+        self.touch_range(start, len);
         true
     }
 
     /// Length of the contiguously-cached run starting at `start`, capped at
     /// `max` (the readahead pipeline's "runway").
     pub fn cached_run_len(&self, start: BlockNo, max: u64) -> u64 {
-        let mut n = 0;
-        while n < max && self.blocks.contains_key(&(start + n)) {
-            n += 1;
+        let Some((_, &slot)) = self.index.range(..=start).next_back() else {
+            return 0;
+        };
+        let mut end = self.runs[slot as usize].end();
+        if end <= start {
+            return 0;
         }
-        n
+        // Block-adjacent runs continue the coverage.
+        while end - start < max {
+            match self.index.get(&end) {
+                Some(&next) => end = self.runs[next as usize].end(),
+                None => break,
+            }
+        }
+        (end - start).min(max)
     }
 
     /// Insert a run of blocks, evicting least-recently-used blocks beyond
     /// capacity.
     pub fn insert_range(&mut self, start: BlockNo, len: u64) {
-        if self.capacity == 0 {
+        if self.capacity == 0 || len == 0 {
             return;
         }
-        for b in start..start + len {
-            self.touch(b);
-        }
+        self.touch_range(start, len);
         self.evict();
     }
 
     /// Drop a run of blocks (e.g. after they are freed on disk).
     pub fn invalidate_range(&mut self, start: BlockNo, len: u64) {
-        for b in start..start + len {
-            if let Some(t) = self.blocks.remove(&b) {
-                self.order.remove(&t);
-            }
+        if len > 0 {
+            self.carve(start, start + len);
         }
     }
 
     /// Drop everything.
     pub fn clear(&mut self) {
-        self.blocks.clear();
-        self.order.clear();
+        self.index.clear();
+        self.runs.clear();
+        self.free.clear();
+        self.head = NIL;
+        self.tail = NIL;
+        self.cached = 0;
     }
 
-    /// (Re)insert one block at the fresh end of the LRU order.
-    fn touch(&mut self, b: BlockNo) {
-        self.tick += 1;
-        if let Some(old) = self.blocks.insert(b, self.tick) {
-            self.order.remove(&old);
+    /// Make `start..start+len` (`len > 0`) the newest blocks, in ascending
+    /// order, caching whichever of them were not.
+    fn touch_range(&mut self, start: BlockNo, len: u64) {
+        let end = start + len;
+        // A suffix of the newest run already is the newest, in order.
+        if self.tail != NIL {
+            let t = &self.runs[self.tail as usize];
+            if t.start <= start && t.end() == end {
+                return;
+            }
         }
-        self.order.insert(self.tick, b);
+        // Exactly one whole run: move it, no index change. (It is not the
+        // tail — that was a suffix of the tail.)
+        if let Some(&slot) = self.index.get(&start) {
+            if self.runs[slot as usize].len == len {
+                self.unlink(slot);
+                self.push_newest(slot);
+                return;
+            }
+        }
+        self.carve(start, end);
+        self.cached += len;
+        if self.tail != NIL && self.runs[self.tail as usize].end() == start {
+            // Streaming: the newest run grows, still ascending = older first.
+            self.runs[self.tail as usize].len += len;
+        } else {
+            let slot = self.alloc(start, len);
+            self.push_newest(slot);
+            self.index.insert(start, slot);
+        }
     }
 
+    /// Remove every cached block of `start..end` (`start < end`). A run cut
+    /// in the middle leaves its left and right remainders adjacent, in
+    /// place, in the LRU list, so the survivors keep their relative order.
+    fn carve(&mut self, start: BlockNo, end: BlockNo) {
+        // The run reaching into the range from below `start`, if any.
+        if let Some((&run_start, &slot)) = self.index.range(..start).next_back() {
+            let run_end = self.runs[slot as usize].end();
+            if run_end > start {
+                self.runs[slot as usize].len = start - run_start;
+                if run_end > end {
+                    let right = self.alloc(end, run_end - end);
+                    self.link_after(right, slot);
+                    self.index.insert(end, right);
+                    self.cached -= end - start;
+                    return;
+                }
+                self.cached -= run_end - start;
+            }
+        }
+        // Runs starting inside the range: dropped whole, except that the
+        // last may stick out past `end` and keeps that part, re-keyed.
+        while let Some((&run_start, &slot)) = self.index.range(start..end).next() {
+            self.index.remove(&run_start);
+            let run_end = self.runs[slot as usize].end();
+            if run_end > end {
+                let run = &mut self.runs[slot as usize];
+                run.start = end;
+                run.len = run_end - end;
+                self.index.insert(end, slot);
+                self.cached -= end - run_start;
+                return;
+            }
+            self.cached -= run_end - run_start;
+            self.unlink(slot);
+            self.free.push(slot);
+        }
+    }
+
+    /// Trim the oldest blocks — the low end of the oldest run — until the
+    /// cache fits. An insert longer than the capacity evicts its own front.
     fn evict(&mut self) {
-        while self.blocks.len() > self.capacity {
-            let Some((_, victim)) = self.order.pop_first() else {
-                break;
-            };
-            self.blocks.remove(&victim);
+        while self.cached > self.capacity {
+            let excess = self.cached - self.capacity;
+            let slot = self.head;
+            let run = &mut self.runs[slot as usize];
+            let old_start = run.start;
+            self.index.remove(&old_start);
+            if run.len <= excess {
+                self.cached -= run.len;
+                self.unlink(slot);
+                self.free.push(slot);
+            } else {
+                run.start += excess;
+                run.len -= excess;
+                self.index.insert(old_start + excess, slot);
+                self.cached -= excess;
+            }
+        }
+    }
+
+    /// A slab slot holding the (unlinked, unindexed) run `start..start+len`.
+    fn alloc(&mut self, start: BlockNo, len: u64) -> u32 {
+        let run = Run {
+            start,
+            len,
+            prev: NIL,
+            next: NIL,
+        };
+        match self.free.pop() {
+            Some(slot) => {
+                self.runs[slot as usize] = run;
+                slot
+            }
+            None => {
+                assert!(self.runs.len() < NIL as usize, "run slab outgrew u32 slots");
+                self.runs.push(run);
+                (self.runs.len() - 1) as u32
+            }
+        }
+    }
+
+    fn unlink(&mut self, slot: u32) {
+        let Run { prev, next, .. } = self.runs[slot as usize];
+        match prev {
+            NIL => self.head = next,
+            p => self.runs[p as usize].next = next,
+        }
+        match next {
+            NIL => self.tail = prev,
+            n => self.runs[n as usize].prev = prev,
+        }
+    }
+
+    /// Link the unlinked `slot` right after (newer than) `after`.
+    fn link_after(&mut self, slot: u32, after: u32) {
+        let next = self.runs[after as usize].next;
+        self.runs[slot as usize].prev = after;
+        self.runs[slot as usize].next = next;
+        self.runs[after as usize].next = slot;
+        match next {
+            NIL => self.tail = slot,
+            n => self.runs[n as usize].prev = slot,
+        }
+    }
+
+    /// Link the unlinked `slot` at the newest end.
+    fn push_newest(&mut self, slot: u32) {
+        if self.tail == NIL {
+            self.runs[slot as usize].prev = NIL;
+            self.runs[slot as usize].next = NIL;
+            self.head = slot;
+            self.tail = slot;
+        } else {
+            self.link_after(slot, self.tail);
         }
     }
 }
@@ -115,6 +295,8 @@ impl BlockCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mif_rng::SmallRng;
+    use std::collections::HashMap;
 
     #[test]
     fn hit_after_insert() {
@@ -167,5 +349,274 @@ mod tests {
             c.insert_range(i * 10, 3);
         }
         assert!(c.len() <= 8);
+    }
+
+    /// The per-block LRU this cache replaced, kept verbatim as the oracle:
+    /// one tick per touched block, eviction pops the smallest tick.
+    struct PerBlockLru {
+        capacity: usize,
+        blocks: HashMap<BlockNo, u64>,
+        order: BTreeMap<u64, BlockNo>,
+        tick: u64,
+    }
+
+    impl PerBlockLru {
+        fn new(capacity: usize) -> Self {
+            Self {
+                capacity,
+                blocks: HashMap::new(),
+                order: BTreeMap::new(),
+                tick: 0,
+            }
+        }
+
+        fn contains_range(&mut self, start: BlockNo, len: u64) -> bool {
+            if self.capacity == 0 {
+                return false;
+            }
+            if !(start..start + len).all(|b| self.blocks.contains_key(&b)) {
+                return false;
+            }
+            for b in start..start + len {
+                self.touch(b);
+            }
+            true
+        }
+
+        fn cached_run_len(&self, start: BlockNo, max: u64) -> u64 {
+            let mut n = 0;
+            while n < max && self.blocks.contains_key(&(start + n)) {
+                n += 1;
+            }
+            n
+        }
+
+        fn insert_range(&mut self, start: BlockNo, len: u64) {
+            if self.capacity == 0 {
+                return;
+            }
+            for b in start..start + len {
+                self.touch(b);
+            }
+            while self.blocks.len() > self.capacity {
+                let Some((_, victim)) = self.order.pop_first() else {
+                    break;
+                };
+                self.blocks.remove(&victim);
+            }
+        }
+
+        fn invalidate_range(&mut self, start: BlockNo, len: u64) {
+            for b in start..start + len {
+                if let Some(t) = self.blocks.remove(&b) {
+                    self.order.remove(&t);
+                }
+            }
+        }
+
+        fn touch(&mut self, b: BlockNo) {
+            self.tick += 1;
+            if let Some(old) = self.blocks.insert(b, self.tick) {
+                self.order.remove(&old);
+            }
+            self.order.insert(self.tick, b);
+        }
+    }
+
+    impl BlockCache {
+        /// `(start, len)` of every run, oldest first, after checking the
+        /// structure: list links both ways, index == linked runs, slab and
+        /// block accounting.
+        fn run_list(&self) -> Vec<(BlockNo, u64)> {
+            let mut out = Vec::new();
+            let (mut prev, mut slot) = (NIL, self.head);
+            while slot != NIL {
+                let run = &self.runs[slot as usize];
+                assert_eq!(run.prev, prev);
+                assert!(run.len > 0);
+                assert_eq!(self.index.get(&run.start), Some(&slot));
+                out.push((run.start, run.len));
+                (prev, slot) = (slot, run.next);
+            }
+            assert_eq!(self.tail, prev);
+            assert_eq!(self.index.len(), out.len());
+            assert_eq!(self.index.len() + self.free.len(), self.runs.len());
+            assert_eq!(out.iter().map(|r| r.1).sum::<u64>(), self.cached);
+            out
+        }
+
+        /// Every cached block, oldest first.
+        fn lru_order(&self) -> Vec<BlockNo> {
+            let runs = self.run_list();
+            runs.iter().flat_map(|&(s, len)| s..s + len).collect()
+        }
+    }
+
+    #[test]
+    fn matches_per_block_lru_on_every_op() {
+        for capacity in [1usize, 4, 16, 64, 257] {
+            let seed = 0xCAC4_E000 + capacity as u64;
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let mut cache = BlockCache::new(capacity);
+            let mut oracle = PerBlockLru::new(capacity);
+            let mut recent = [(0u64, 0u64); 4];
+            for op in 0..20_000 {
+                // One op in four revisits a recent range exactly, so the
+                // suffix-of-tail and whole-run fast paths see real traffic.
+                let (start, len) = if rng.gen_range(0u32..4) == 0 {
+                    recent[rng.gen_range(0usize..recent.len())]
+                } else {
+                    (rng.gen_range(0u64..400), rng.gen_range(0u64..40))
+                };
+                recent[op % recent.len()] = (start, len);
+                let ctx = format!("seed {seed:#x} op {op}: {start}+{len}");
+                match rng.gen_range(0u32..10) {
+                    0..=3 => {
+                        cache.insert_range(start, len);
+                        oracle.insert_range(start, len);
+                    }
+                    4..=6 => assert_eq!(
+                        cache.contains_range(start, len),
+                        oracle.contains_range(start, len),
+                        "{ctx} contains_range"
+                    ),
+                    7..=8 => assert_eq!(
+                        cache.cached_run_len(start, len),
+                        oracle.cached_run_len(start, len),
+                        "{ctx} cached_run_len"
+                    ),
+                    _ => {
+                        cache.invalidate_range(start, len);
+                        oracle.invalidate_range(start, len);
+                    }
+                }
+                assert_eq!(cache.len(), oracle.blocks.len(), "{ctx} len");
+                assert_eq!(cache.is_empty(), oracle.blocks.is_empty(), "{ctx}");
+                let want: Vec<BlockNo> = oracle.order.values().copied().collect();
+                assert_eq!(cache.lru_order(), want, "{ctx} LRU order");
+            }
+        }
+    }
+
+    #[test]
+    fn zero_length_and_zero_capacity_edges() {
+        let mut c = BlockCache::new(8);
+        assert!(c.contains_range(5, 0));
+        assert_eq!(c.cached_run_len(5, 0), 0);
+        c.insert_range(5, 0);
+        c.invalidate_range(5, 0);
+        assert!(c.is_empty());
+        c.insert_range(0, 4);
+        assert!(c.contains_range(2, 0));
+        assert_eq!(c.cached_run_len(2, 0), 0);
+        assert_eq!(c.run_list(), [(0, 4)]);
+        c.invalidate_range(10, 5); // over nothing
+        assert_eq!(c.run_list(), [(0, 4)]);
+        c.clear();
+        assert!(c.is_empty() && c.runs.is_empty() && c.index.is_empty());
+        assert_eq!((c.head, c.tail), (NIL, NIL));
+        assert!(c.lru_order().is_empty());
+
+        let mut z = BlockCache::new(0);
+        assert!(!z.contains_range(0, 0));
+        assert_eq!(z.cached_run_len(0, 4), 0);
+        z.invalidate_range(0, 4);
+        assert_eq!(z.len(), 0);
+    }
+
+    #[test]
+    fn insert_longer_than_capacity_keeps_its_last_blocks() {
+        let mut c = BlockCache::new(8);
+        c.insert_range(500, 3);
+        c.insert_range(100, 20);
+        assert_eq!(c.run_list(), [(112, 8)]);
+        assert_eq!(c.lru_order(), (112..120).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn suffix_of_tail_touch_changes_nothing() {
+        let mut c = BlockCache::new(64);
+        c.insert_range(0, 4);
+        c.insert_range(10, 10);
+        let (runs, index) = (c.run_list(), c.index.clone());
+        assert!(c.contains_range(15, 5));
+        assert!(c.contains_range(10, 10));
+        c.insert_range(19, 1);
+        assert_eq!(c.run_list(), runs);
+        assert_eq!(c.index, index);
+        assert_eq!(c.runs.len(), 2);
+    }
+
+    #[test]
+    fn whole_run_touch_moves_without_rekeying() {
+        let mut c = BlockCache::new(64);
+        c.insert_range(0, 4);
+        c.insert_range(10, 1);
+        c.insert_range(20, 4);
+        let index = c.index.clone();
+        assert!(c.contains_range(10, 1));
+        assert_eq!(c.run_list(), [(0, 4), (20, 4), (10, 1)]);
+        c.insert_range(0, 4);
+        assert_eq!(c.run_list(), [(20, 4), (10, 1), (0, 4)]);
+        assert_eq!(c.index, index, "same keys, same slots");
+        assert_eq!(c.runs.len(), 3);
+    }
+
+    #[test]
+    fn middle_split_keeps_left_before_right() {
+        let mut c = BlockCache::new(64);
+        c.insert_range(0, 10);
+        c.insert_range(100, 5);
+        assert!(c.contains_range(3, 3));
+        assert_eq!(c.run_list(), [(0, 3), (6, 4), (100, 5), (3, 3)]);
+        // Eviction takes all of the left remainder before any of the right.
+        c.insert_range(200, 64 - 15);
+        c.insert_range(300, 4);
+        assert_eq!(c.run_list()[..2], [(7, 3), (100, 5)]);
+    }
+
+    #[test]
+    fn invalidate_spanning_three_runs_and_two_gaps() {
+        let mut c = BlockCache::new(64);
+        c.insert_range(0, 10);
+        c.insert_range(20, 5);
+        c.insert_range(30, 10);
+        c.invalidate_range(5, 30); // 5..35: tail of run 1, all of 2, head of 3
+        assert_eq!(c.run_list(), [(0, 5), (35, 5)]);
+        assert_eq!(c.len(), 10);
+        assert_eq!(c.free.len(), 1);
+        assert_eq!(c.cached_run_len(0, 100), 5);
+        assert_eq!(c.cached_run_len(35, 3), 3);
+        assert!(!c.contains_range(4, 2));
+    }
+
+    #[test]
+    fn coverage_walks_block_adjacent_runs() {
+        let mut c = BlockCache::new(64);
+        c.insert_range(4, 4);
+        c.insert_range(0, 4); // abuts the first run but is a separate, newer one
+        assert_eq!(c.run_list(), [(4, 4), (0, 4)]);
+        assert_eq!(c.cached_run_len(1, 100), 7);
+        assert!(c.contains_range(2, 5));
+        assert_eq!(c.lru_order(), [7, 0, 1, 2, 3, 4, 5, 6]);
+    }
+
+    #[test]
+    fn slab_slots_are_reused() {
+        let mut c = BlockCache::new(64);
+        let mut peak_runs = 0;
+        for i in 0..100_000u64 {
+            c.insert_range(i * 3, 2); // never block-adjacent to the tail
+            peak_runs = peak_runs.max(c.index.len());
+        }
+        assert_eq!(peak_runs, 32);
+        // One slot beyond the peak: a run is allocated before the eviction
+        // it triggers frees the oldest.
+        assert!(
+            c.runs.len() <= peak_runs + 1,
+            "slab grew to {}",
+            c.runs.len()
+        );
+        c.lru_order();
     }
 }

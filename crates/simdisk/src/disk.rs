@@ -290,7 +290,7 @@ impl Disk {
         }
     }
 
-    fn submit_batch_inner(&mut self, ctx: Option<u64>, batch: Vec<BlockRequest>) -> Nanos {
+    fn submit_batch_inner(&mut self, ctx: Option<u64>, mut batch: Vec<BlockRequest>) -> Nanos {
         self.stats.submitted += batch.len() as u64;
         // Per-request software/RPC overhead is paid before merging.
         let overhead = batch.len() as Nanos * self.scheduler.config.per_request_ns;
@@ -300,38 +300,37 @@ impl Disk {
         // window is prefetched (async readahead) so streaming reads stay
         // ahead of the consumer.
         let mut prefetch_ns: Nanos = 0;
-        let mut to_disk = Vec::with_capacity(batch.len());
-        for req in batch {
-            if req.op == IoOp::Read && self.cache.contains_range(req.start, req.len) {
-                self.stats.cache_hits += 1;
-                if let Some(c) = req.ra.or(ctx) {
-                    let extra = self
-                        .ra_contexts
-                        .entry(c)
-                        .or_default()
-                        .on_read(req.start, req.len);
-                    let extra = extra.min(self.geometry.blocks.saturating_sub(req.end()));
-                    // Async-readahead marker: top the pipeline up only when
-                    // the cached runway ahead drops below half a window, and
-                    // read just the missing tail.
-                    let runway = self.cache.cached_run_len(req.end(), extra);
-                    if extra > 0 && runway < extra / 2 {
-                        let from = req.end() + runway;
-                        let fetch = extra - runway;
-                        prefetch_ns += self.geometry.position_ns(self.head, from)
-                            + self.geometry.transfer_ns_at(from, fetch);
-                        self.cache.insert_range(from, fetch);
-                        self.stats.bytes_read += fetch * self.geometry.block_size;
-                        self.stats.dispatched += 1;
-                        self.head = from + fetch;
-                    }
-                }
-            } else {
-                to_disk.push(req);
+        batch.retain(|req| {
+            if req.op != IoOp::Read || !self.cache.contains_range(req.start, req.len) {
+                return true;
             }
-        }
+            self.stats.cache_hits += 1;
+            if let Some(c) = req.ra.or(ctx) {
+                let extra = self
+                    .ra_contexts
+                    .entry(c)
+                    .or_default()
+                    .on_read(req.start, req.len);
+                let extra = extra.min(self.geometry.blocks.saturating_sub(req.end()));
+                // Async-readahead marker: top the pipeline up only when
+                // the cached runway ahead drops below half a window, and
+                // read just the missing tail.
+                let runway = self.cache.cached_run_len(req.end(), extra);
+                if extra > 0 && runway < extra / 2 {
+                    let from = req.end() + runway;
+                    let fetch = extra - runway;
+                    prefetch_ns += self.geometry.position_ns(self.head, from)
+                        + self.geometry.transfer_ns_at(from, fetch);
+                    self.cache.insert_range(from, fetch);
+                    self.stats.bytes_read += fetch * self.geometry.block_size;
+                    self.stats.dispatched += 1;
+                    self.head = from + fetch;
+                }
+            }
+            false
+        });
 
-        let dispatch = self.scheduler.schedule(self.head, to_disk);
+        let dispatch = self.scheduler.schedule(self.head, batch);
         let mut elapsed: Nanos = overhead + prefetch_ns;
         for req in dispatch {
             let at_ns = self.clock + elapsed;
@@ -366,11 +365,6 @@ impl Disk {
     /// Fallible variant of [`Disk::submit`].
     pub fn try_submit(&mut self, req: BlockRequest) -> Result<Nanos, IoFault> {
         self.try_submit_batch(vec![req])
-    }
-
-    /// Fallible variant of [`Disk::submit_ctx`].
-    pub fn try_submit_ctx(&mut self, ctx: u64, req: BlockRequest) -> Result<Nanos, IoFault> {
-        self.try_submit_batch_ctx(ctx, vec![req])
     }
 
     fn service(&mut self, ctx: Option<u64>, req: BlockRequest) -> Nanos {

@@ -8,9 +8,9 @@
 
 use crate::Nanos;
 
-/// Logarithmic histogram of service times: bucket `i` covers
-/// `[2^i µs, 2^(i+1) µs)`, with the first bucket catching everything below
-/// 1 µs and the last everything above ~2 s.
+/// Logarithmic histogram of service times: bucket 0 catches everything
+/// below 1 µs, bucket `i ≥ 1` covers `[2^(i-1) µs, 2^i µs)`, and the last
+/// bucket (31) also takes everything from `2^30 µs` (~18 min) up.
 #[derive(Debug, Clone, Default)]
 pub struct LatencyHistogram {
     buckets: [u64; 32],
@@ -64,7 +64,7 @@ impl LatencyHistogram {
         for (i, &n) in self.buckets.iter().enumerate() {
             seen += n;
             if seen >= target {
-                // Upper bound of bucket i: 2^(i) µs (bucket 0 = 1 µs).
+                // Exclusive upper bound of bucket i: 2^i µs (bucket 0: 1 µs).
                 return (1u64 << i) * 1_000;
             }
         }
@@ -116,6 +116,28 @@ mod tests {
         let mut h = LatencyHistogram::new();
         h.record(10);
         assert_eq!(h.percentile_ns(1.0), 1_000);
+    }
+
+    #[test]
+    fn bucket_boundaries() {
+        let upper = |ns| {
+            let mut h = LatencyHistogram::new();
+            h.record(ns);
+            h.percentile_ns(1.0)
+        };
+        assert_eq!(LatencyHistogram::bucket_of(999), 0);
+        assert_eq!(upper(999), 1_000);
+        assert_eq!(LatencyHistogram::bucket_of(1_000), 1);
+        assert_eq!(upper(1_000), 2_000);
+        assert_eq!(upper(1_999), 2_000);
+        assert_eq!(LatencyHistogram::bucket_of(2_000), 2);
+        assert_eq!(upper(2_000), 4_000);
+        // Bucket 31 saturates: 2^30 µs and everything beyond share it.
+        let top = (1u64 << 30) * 1_000;
+        assert_eq!(LatencyHistogram::bucket_of(top - 1), 30);
+        assert_eq!(LatencyHistogram::bucket_of(top), 31);
+        assert_eq!(LatencyHistogram::bucket_of(u64::MAX), 31);
+        assert_eq!(upper(u64::MAX / 2), (1u64 << 31) * 1_000);
     }
 
     #[test]

@@ -54,17 +54,6 @@ impl Readahead {
             0
         }
     }
-
-    /// Current window size in blocks (exposed for tests and stats).
-    pub fn window(&self) -> u64 {
-        self.window
-    }
-
-    /// Forget the access history (e.g. after a burst of writes).
-    pub fn reset(&mut self) {
-        self.window = self.initial_blocks;
-        self.next_expected = None;
-    }
 }
 
 #[cfg(test)]
@@ -97,13 +86,5 @@ mod tests {
         assert_eq!(ra.on_read(1000, 2), 0);
         // Ramp restarts from the initial size.
         assert_eq!(ra.on_read(1002, 2), 8);
-    }
-
-    #[test]
-    fn reset_clears_history() {
-        let mut ra = Readahead::new(4, 64);
-        ra.on_read(0, 2);
-        ra.reset();
-        assert_eq!(ra.on_read(2, 2), 0);
     }
 }

@@ -57,28 +57,23 @@ impl IoScheduler {
     /// starting from `head` and wrapping (C-LOOK); merging then coalesces
     /// adjacent same-direction requests up to the size cap.
     pub fn schedule(&self, head: u64, mut batch: Vec<BlockRequest>) -> Vec<BlockRequest> {
-        if batch.is_empty() {
-            return batch;
-        }
         if self.config.elevator {
             // C-LOOK: ascending from the head position, then wrap to the
             // lowest outstanding request.
             batch.sort_by_key(|r| (r.start < head, r.start));
         }
-        if !self.config.merge {
-            return batch;
-        }
-        let mut out: Vec<BlockRequest> = Vec::with_capacity(batch.len());
-        for req in batch {
-            if let Some(last) = out.last_mut() {
-                if last.can_merge(&req) && last.len + req.len <= self.config.max_merged_blocks {
-                    last.merge(&req);
-                    continue;
+        if self.config.merge {
+            let max = self.config.max_merged_blocks;
+            // `dedup_by` hands over (next, last kept): fold `next` into
+            // `last` in place and drop it when the two coalesce.
+            batch.dedup_by(|next, last| {
+                last.can_merge(next) && last.len + next.len <= max && {
+                    last.merge(next);
+                    true
                 }
-            }
-            out.push(req);
+            });
         }
-        out
+        batch
     }
 }
 

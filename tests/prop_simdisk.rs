@@ -120,3 +120,179 @@ fn service_time_is_bounded() {
         assert!(t <= ceiling, "seed {seed}: service {t} > ceiling {ceiling}");
     }
 }
+
+/// FNV-1a over the little-endian bytes of `v`.
+fn fnv1a(h: &mut u64, v: u64) {
+    for b in v.to_le_bytes() {
+        *h ^= u64::from(b);
+        *h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+}
+
+const PIN_SEED: u64 = 0x0D16_E570_0000;
+const PIN_BATCHES: usize = 4000;
+const PIN_CHECKPOINT: usize = 500;
+
+/// One seeded mixed stream against a `Disk` with a `cache_blocks` cache:
+/// sequential readers on their own readahead contexts, batch-context and
+/// raw (no-readahead) reads, random reads, writes up to 1024 blocks,
+/// invalidates and cache drops, over a region a few times the cache so
+/// hits, partial hits and evictions all occur. `(clock, head, stats)` is
+/// folded after every batch; the running digest is sampled every
+/// `PIN_CHECKPOINT` batches.
+fn pinned_stream_digests(seed: u64, cache_blocks: usize) -> Vec<u64> {
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let mut disk = Disk::with_config(
+        DiskGeometry::default(),
+        SchedulerConfig::default(),
+        cache_blocks,
+    );
+    let region = cache_blocks as u64 * 6;
+    let mut streams = [0u64; 4];
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut checkpoints = Vec::new();
+    for batch in 1..=PIN_BATCHES {
+        match rng.gen_range(0u32..100) {
+            // Interleaved sequential readers, one readahead context each.
+            0..=29 => {
+                let reqs = (0..rng.gen_range(1usize..6))
+                    .map(|_| {
+                        let s = rng.gen_range(0usize..streams.len());
+                        let len = rng.gen_range(1u64..9);
+                        if streams[s] + len > region {
+                            streams[s] = 0;
+                        }
+                        let r = BlockRequest::read(s as u64 * region + streams[s], len)
+                            .with_ctx(10 + s as u64);
+                        streams[s] += len;
+                        r
+                    })
+                    .collect();
+                disk.submit_batch(reqs);
+            }
+            // A short sequential run under one batch-level context.
+            30..=39 => {
+                let mut at = rng.gen_range(0..region);
+                let ctx = rng.gen_range(1u64..4);
+                for _ in 0..rng.gen_range(2usize..6) {
+                    let len = rng.gen_range(1u64..17);
+                    disk.submit_batch_ctx(ctx, vec![BlockRequest::read(at, len)]);
+                    at += len;
+                }
+            }
+            // Random reads without readahead (metadata-style).
+            40..=59 => {
+                let reqs = (0..rng.gen_range(1usize..12))
+                    .map(|_| BlockRequest::read(rng.gen_range(0..region), rng.gen_range(1u64..5)))
+                    .collect();
+                disk.submit_batch_raw(reqs);
+            }
+            // Random reads through context 0, up to a readahead window long.
+            60..=69 => {
+                let reqs = (0..rng.gen_range(1usize..8))
+                    .map(|_| {
+                        BlockRequest::read(rng.gen_range(0..region * 4), rng.gen_range(1u64..65))
+                    })
+                    .collect();
+                disk.submit_batch(reqs);
+            }
+            // Writes: a burst of adjacent pieces (merged by the elevator;
+            // half the bursts are short, the rest up to 1024 blocks, i.e.
+            // larger than either cache) plus scattered small ones.
+            70..=89 => {
+                let mut reqs = Vec::new();
+                let mut at = rng.gen_range(0..region * 4);
+                let total = if rng.gen::<bool>() {
+                    rng.gen_range(1u64..33)
+                } else {
+                    rng.gen_range(1u64..1025)
+                };
+                let mut done = 0;
+                while done < total {
+                    let len = rng.gen_range(1u64..257).min(total - done);
+                    reqs.push(BlockRequest::write(at, len));
+                    at += len;
+                    done += len;
+                }
+                for _ in 0..rng.gen_range(0usize..6) {
+                    reqs.push(BlockRequest::write(
+                        rng.gen_range(0..region),
+                        rng.gen_range(1u64..9),
+                    ));
+                }
+                disk.submit_batch(reqs);
+            }
+            90..=97 => disk.invalidate(rng.gen_range(0..region * 4), rng.gen_range(1u64..300)),
+            _ => disk.drop_caches(),
+        }
+        let s = disk.stats();
+        for v in [
+            disk.clock(),
+            disk.head(),
+            s.submitted,
+            s.dispatched,
+            s.cache_hits,
+            s.seeks,
+            s.seek_distance_cyl,
+            s.bytes_read,
+            s.bytes_written,
+            s.busy_ns,
+        ] {
+            fnv1a(&mut h, v);
+        }
+        if batch % PIN_CHECKPOINT == 0 {
+            checkpoints.push(h);
+        }
+    }
+    checkpoints
+}
+
+/// Behaviour pin: the digests below were recorded with the per-block
+/// `HashMap` + `BTreeMap` LRU cache that preceded the run-based one, so any
+/// cache (or scheduler, readahead, geometry) change that alters a single
+/// hit, eviction or head movement on this stream shows up here.
+#[test]
+fn disk_behaviour_digest_is_pinned() {
+    const PINNED: [(usize, [u64; PIN_BATCHES / PIN_CHECKPOINT]); 2] = [
+        (
+            64,
+            [
+                0x0b746e80642fc036,
+                0x35352ca77b2380f8,
+                0xa1f96c016960d551,
+                0x9bd4b52a2fbd100d,
+                0xb010d6357784c4b0,
+                0x213d727f5cc34177,
+                0x574c27445dd409f4,
+                0x12c4ca998faedf5b,
+            ],
+        ),
+        (
+            1024,
+            [
+                0xe1daf525ed3af509,
+                0xf4989c3b7354d59d,
+                0x633ef6992641308e,
+                0xb3d4cc85b4616546,
+                0x616509e512ba3fe7,
+                0x8f238576ec660942,
+                0xb9d7a7499783a9a5,
+                0xba3d5bd78df4b6bc,
+            ],
+        ),
+    ];
+    for (cache_blocks, want) in PINNED {
+        let seed = PIN_SEED + cache_blocks as u64;
+        let got = pinned_stream_digests(seed, cache_blocks);
+        for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+            assert_eq!(
+                g,
+                w,
+                "seed {seed:#x} cache {cache_blocks}: first divergence in batches {}..={} \
+                 (got {got:#018x?})",
+                i * PIN_CHECKPOINT + 1,
+                (i + 1) * PIN_CHECKPOINT,
+            );
+        }
+    }
+}
