@@ -110,11 +110,50 @@ use mif_simdisk::{
     SharedDiskStats,
 };
 use std::collections::{HashMap, HashSet};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 
 /// Stripes in the MDS namespace lock table.
 const MDS_STRIPES: usize = 16;
+
+/// Hasher for the maps every write probes, keyed by [`FileId`] and
+/// [`StreamId`]: each integer is folded in with one widening multiply
+/// (high half xor low half, so bucket and tag bits both depend on every
+/// key bit). Std's SipHash costs more than the rest of a cached window
+/// lookup. Like std's, the iteration order it gives is unspecified. It
+/// does not resist crafted collisions: `StreamId::pid` is client-chosen,
+/// and the worst a client gains is slower window lookups on files it
+/// writes.
+#[derive(Default)]
+struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(b as u64);
+        }
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.write_u64(n as u64);
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        let wide = (self.0 ^ n) as u128 * 0x9E37_79B9_7F4A_7C15;
+        self.0 = wide as u64 ^ (wide >> 64) as u64;
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
+
+/// One per-OST piece of a request, as [`Striping::pieces`] yields them:
+/// `(column, OST-local start, len, file logical start)`.
+type Piece = (u32, u64, u64, u64);
 
 /// IO accumulated toward one OST between flushes.
 #[derive(Default)]
@@ -176,8 +215,9 @@ struct FileInner {
     /// from these lock-free ([`BumpWindow::claim`]); only a failed claim
     /// (window spent, closed, or non-sequential offset) falls back to the
     /// policy mutex, which reserves fresh windows and re-primes the cache.
-    /// Stale handles are harmless: a closed window refuses every claim.
-    windows: Vec<HashMap<StreamId, Arc<BumpWindow>>>,
+    /// A stale handle is harmless to correctness (a closed window refuses
+    /// every claim); the last close empties the maps so it is not kept.
+    windows: Vec<IdMap<StreamId, Arc<BumpWindow>>>,
 }
 
 /// Lock-free tallies of how often the front-end's serialization points
@@ -329,7 +369,7 @@ pub struct ConcurrentFs {
     shards: Vec<OstShard>,
     mds: Mutex<Mds>,
     mds_stripes: Vec<Mutex<()>>,
-    files: RwLock<HashMap<FileId, Arc<FileSlot>>>,
+    files: RwLock<IdMap<FileId, Arc<FileSlot>>>,
     /// Files with non-empty delayed buffers (drained at flush).
     delayed_dirty: Mutex<HashSet<FileId>>,
     next_file: AtomicU64,
@@ -405,7 +445,7 @@ impl ConcurrentFs {
                             size_blocks: f.size_blocks,
                             open_handles: f.open_handles,
                             delayed: vec![Vec::new(); width],
-                            windows: vec![HashMap::new(); width],
+                            windows: vec![IdMap::default(); width],
                         }),
                     }),
                 )
@@ -589,7 +629,7 @@ impl ConcurrentFs {
                 size_blocks: 0,
                 open_handles: 1,
                 delayed: vec![Vec::new(); width],
-                windows: vec![HashMap::new(); width],
+                windows: vec![IdMap::default(); width],
             }),
         });
         {
@@ -643,6 +683,12 @@ impl ConcurrentFs {
                 let _order = lockorder::acquire(LockClass::Policy);
                 shard.policy.lock().unwrap().finalize(&shard.alloc, file.0);
             }
+            // `finalize` closed every window, so the cached handles can
+            // only refuse claims from here on: drop them. A writer after a
+            // reopen re-primes through the policy, as it would on a refusal.
+            let _order = lockorder::acquire(LockClass::File);
+            let mut inner = slot.inner.lock().unwrap();
+            inner.windows.iter_mut().for_each(IdMap::clear);
         }
     }
 
@@ -872,10 +918,18 @@ impl ConcurrentFs {
         }
         let slot = self.slot(file).expect("write to unknown file");
         slot.writes.fetch_add(1, Ordering::Relaxed);
-        let striping = slot.striping(self.config.stripe_blocks);
+        // The write's pieces, cut once for the three walks below. The
+        // first lives on the stack and collecting no others allocates
+        // nothing, so a write inside one stripe unit stays off the heap.
+        let mut rest = slot
+            .striping(self.config.stripe_blocks)
+            .pieces(offset, len, slot.ost_shift);
+        let first = [rest.next().expect("len > 0")];
+        let rest: Vec<Piece> = rest.collect();
+        let pieces = || first.iter().chain(&rest).copied();
         // A write cannot land on a dead disk; a replaced-but-rebuilding
         // (or draining) one accepts fresh data to columns it already hosts.
-        for (col, ..) in striping.split(offset, len, slot.ost_shift) {
+        for (col, ..) in pieces() {
             let phys = slot.phys(col as usize);
             if self.ost_health(phys) == DiskHealth::Failed {
                 return Err((phys, IoFault::DiskFailed));
@@ -884,7 +938,7 @@ impl ConcurrentFs {
         {
             let _order = lockorder::acquire(LockClass::File);
             let mut inner = slot.inner.lock().unwrap();
-            self.write_locked(&slot, &mut inner, stream, offset, len);
+            self.write_locked(&slot, &mut inner, stream, pieces(), offset + len);
         }
         // The content changed: any replica or stripe group derived from
         // the written spans is stale. Cheap lock-free-ish check first —
@@ -894,13 +948,13 @@ impl ConcurrentFs {
             let overlaps = {
                 let tier = self.tier.read().unwrap();
                 !tier.is_empty()
-                    && striping.split(offset, len, slot.ost_shift).into_iter().any(
-                        |(col, local, run, _)| tier.has_valid_overlap(file.0 .0, col, local, run),
-                    )
+                    && pieces().any(|(col, local, run, _)| {
+                        tier.has_valid_overlap(file.0 .0, col, local, run)
+                    })
             };
             if overlaps {
                 let mut tier = self.tier.write().unwrap();
-                for (col, local, run, _) in striping.split(offset, len, slot.ost_shift) {
+                for (col, local, run, _) in pieces() {
                     tier.invalidate_overlap(file.0 .0, col, local, run);
                 }
             }
@@ -942,27 +996,33 @@ impl ConcurrentFs {
     /// `write_inner`: delayed buffering, CoW relocation, hole allocation
     /// through the policy, then write-back queuing. The policy lock is
     /// scoped to the `extend` call — never held across queue or disk work.
+    /// `pieces` are the write's per-OST pieces, `file_end` its last file
+    /// block + 1.
     fn write_locked(
         &self,
         slot: &FileSlot,
         inner: &mut FileInner,
         stream: StreamId,
-        offset: u64,
-        len: u64,
+        pieces: impl Iterator<Item = Piece>,
+        file_end: u64,
     ) {
-        let pieces = slot
-            .striping(self.config.stripe_blocks)
-            .split(offset, len, slot.ost_shift);
-        let delayed = self.config.policy == PolicyKind::Delayed;
+        let FileInner {
+            trees,
+            delayed,
+            windows,
+            ..
+        } = inner;
+        let buffer = self.config.policy == PolicyKind::Delayed;
         for (col, local, run, _) in pieces {
             let col = col as usize;
             let phys = slot.phys(col);
             let shard = &self.shards[phys];
+            let tree = &mut trees[col];
 
-            if delayed {
+            if buffer {
                 let mut buffered = 0u64;
-                for (gap_start, gap_len) in inner.trees[col].gaps(local, run) {
-                    inner.delayed[col].push((gap_start, gap_len));
+                for (gap_start, gap_len) in tree.gaps(local, run) {
+                    delayed[col].push((gap_start, gap_len));
                     buffered += gap_len;
                 }
                 if buffered > 0 {
@@ -970,13 +1030,12 @@ impl ConcurrentFs {
                     let _order = lockorder::acquire(LockClass::OstQueue);
                     self.delayed_dirty.lock().unwrap().insert(slot.id);
                 }
-                self.queue_writes(phys, inner.trees[col].resolve(local, run));
-                inner.size_blocks = inner.size_blocks.max(offset + len);
+                self.queue_writes(phys, |push| tree.resolve_with(local, run, push));
                 continue;
             }
 
             if self.config.policy == PolicyKind::Cow {
-                for (old_phys, old_len) in inner.trees[col].remove(local, run) {
+                for (old_phys, old_len) in tree.remove(local, run) {
                     shard.alloc.free(old_phys, old_len);
                     let _order = lockorder::acquire(LockClass::Disk);
                     self.contention.disk_locks.fetch_add(1, Ordering::Relaxed);
@@ -984,21 +1043,31 @@ impl ConcurrentFs {
                 }
             }
 
-            let mut cached = inner.windows[col].get(&stream).cloned();
-            let tree = &mut inner.trees[col];
-            for (gap_start, gap_len) in tree.gaps(local, run) {
+            // The map is written after the walk, and only if the slow path
+            // re-primed the window (`Some(None)`: the policy holds none for
+            // this stream).
+            let cached = windows[col].get(&stream);
+            let mut reprimed: Option<Option<Arc<BumpWindow>>> = None;
+            // Holes are found one at a time because each is mapped before
+            // the next is looked for.
+            let mut pos = local;
+            while let Some((gap_start, gap_len)) = tree.next_gap(pos, local + run) {
                 let before = tree.extent_count();
                 let mut logical = gap_start;
                 let end = gap_start + gap_len;
+                pos = end;
                 while logical < end {
                     // Fast path: bump-claim from the cached window with one
                     // CAS — no policy lock. Consumption and the claim
                     // counter go through the same shared window the policy
                     // sees, so its trigger decisions are unchanged.
                     if self.config.group_commit {
-                        if let Some((phys, l)) = cached
-                            .as_ref()
-                            .and_then(|w| w.claim(logical, end - logical))
+                        let window = match &reprimed {
+                            Some(fresh) => fresh.as_ref(),
+                            None => cached,
+                        };
+                        if let Some((phys, l)) =
+                            window.and_then(|w| w.claim(logical, end - logical))
                         {
                             self.contention
                                 .lockfree_claims
@@ -1019,7 +1088,7 @@ impl ConcurrentFs {
                             .fetch_add(1, Ordering::Relaxed);
                         let runs =
                             policy.extend(&shard.alloc, slot.id, stream, logical, end - logical);
-                        cached = policy.stream_window(slot.id, stream);
+                        reprimed = Some(policy.stream_window(slot.id, stream));
                         runs
                     };
                     for (phys, l) in runs {
@@ -1032,32 +1101,32 @@ impl ConcurrentFs {
                 self.mds_cpu_ns
                     .fetch_add(added * self.config.mds_cpu_ns_per_extent, Ordering::Relaxed);
             }
-            match cached {
-                Some(w) => {
-                    inner.windows[col].insert(stream, w);
+            match reprimed {
+                Some(Some(w)) => {
+                    windows[col].insert(stream, w);
                 }
-                None => {
-                    inner.windows[col].remove(&stream);
+                Some(None) => {
+                    windows[col].remove(&stream);
                 }
+                None => {}
             }
-            self.queue_writes(phys, inner.trees[col].resolve(local, run));
+            self.queue_writes(phys, |push| tree.resolve_with(local, run, push));
         }
-        inner.size_blocks = inner.size_blocks.max(offset + len);
+        inner.size_blocks = inner.size_blocks.max(file_end);
     }
 
-    /// Queue resolved physical runs as dirty write-back data.
-    fn queue_writes(&self, ost_idx: usize, runs: Vec<(u64, u64)>) {
-        if runs.is_empty() {
-            return;
-        }
+    /// Queue physical runs as dirty write-back data under one hold of the
+    /// shard's queue lock; `runs` hands each `(phys, len)` to the sink it
+    /// is given (lock order File → OstQueue when it walks an extent tree).
+    fn queue_writes(&self, ost_idx: usize, runs: impl FnOnce(&mut dyn FnMut(u64, u64))) {
         let mut blocks = 0u64;
         {
             let _order = lockorder::acquire(LockClass::OstQueue);
             let mut queues = self.shards[ost_idx].queues.lock().unwrap();
-            for (phys, l) in runs {
+            runs(&mut |phys, l| {
                 queues.writeback.push(BlockRequest::write(phys, l));
                 blocks += l;
-            }
+            });
         }
         self.writeback_blocks.fetch_add(blocks, Ordering::Relaxed);
     }
@@ -1098,7 +1167,7 @@ impl ConcurrentFs {
         let tier = self.tier.read().unwrap();
         let _order = lockorder::acquire(LockClass::File);
         let inner = slot.inner.lock().unwrap();
-        for (col, local, run, _) in striping.split(offset, len, slot.ost_shift) {
+        for (col, local, run, _) in striping.pieces(offset, len, slot.ost_shift) {
             let col = col as usize;
             let phys_ost = slot.phys(col);
             let shard = &self.shards[phys_ost];
@@ -1128,9 +1197,9 @@ impl ConcurrentFs {
                                 // of this same file): its extents resolve
                                 // under this lock; the IO goes to the bay
                                 // hosting that column.
-                                for (phys, l) in inner.trees[rost as usize].resolve(start, unit) {
-                                    self.queue_read(slot.phys(rost as usize), phys, l, ctx);
-                                }
+                                inner.trees[rost as usize].resolve_with(start, unit, |phys, l| {
+                                    self.queue_read(slot.phys(rost as usize), phys, l, ctx)
+                                });
                             }
                         }
                         continue;
@@ -1139,38 +1208,36 @@ impl ConcurrentFs {
                     None => {} // rebuilding: direct read below
                 }
             }
-            let resolved = inner.trees[col].resolve(local, run);
-            if resolved.is_empty() {
-                continue;
-            }
+            let tree = &inner.trees[col];
             if !degraded {
                 // Hot-read fan-out: route the whole piece to the
                 // least-loaded valid copy, primary included.
                 let replicas = tier
                     .replicas_covering(file.0 .0, col as u32, local, run, |o| self.ost_healthy(o));
-                if !replicas.is_empty() {
-                    let mut best: Option<(&crate::tier::ReplicaRun, u64)> = None;
-                    for r in replicas {
-                        let load = self.shards[r.dst_ost as usize]
-                            .routed_blocks
-                            .load(Ordering::Relaxed);
-                        if best.as_ref().is_none_or(|&(_, b)| load < b) {
-                            best = Some((r, load));
-                        }
-                    }
-                    let primary_load = shard.routed_blocks.load(Ordering::Relaxed);
-                    if let Some((r, load)) = best {
-                        if load < primary_load {
-                            let phys = r.dst_phys + (local - r.logical);
-                            self.queue_read(r.dst_ost as usize, phys, run, ctx);
-                            continue;
-                        }
+                let mut best: Option<(&crate::tier::ReplicaRun, u64)> = None;
+                for r in replicas {
+                    let load = self.shards[r.dst_ost as usize]
+                        .routed_blocks
+                        .load(Ordering::Relaxed);
+                    if best.as_ref().is_none_or(|&(_, b)| load < b) {
+                        best = Some((r, load));
                     }
                 }
+                let primary_load = shard.routed_blocks.load(Ordering::Relaxed);
+                if let Some((r, _)) = best.filter(|&(_, load)| load < primary_load) {
+                    // A piece with nothing mapped is a hole: no read at all.
+                    let mut mapped = false;
+                    tree.resolve_with(local, run, |_, _| mapped = true);
+                    if mapped {
+                        let phys = r.dst_phys + (local - r.logical);
+                        self.queue_read(r.dst_ost as usize, phys, run, ctx);
+                    }
+                    continue;
+                }
             }
-            for (phys, l) in resolved {
-                self.queue_read(phys_ost, phys, l, ctx);
-            }
+            tree.resolve_with(local, run, |phys, l| {
+                self.queue_read(phys_ost, phys, l, ctx)
+            });
         }
         Ok(())
     }
@@ -1325,10 +1392,8 @@ impl ConcurrentFs {
                         let tree = &mut inner.trees[col];
                         let before = tree.extent_count();
                         let mut logical = gap_start;
-                        let mut writes = Vec::new();
-                        for (phys, l) in allocated {
+                        for &(phys, l) in &allocated {
                             tree.insert(Extent::new(logical, phys, l));
-                            writes.push((phys, l));
                             logical += l;
                         }
                         let added = tree.extent_count().saturating_sub(before) as u64;
@@ -1336,7 +1401,9 @@ impl ConcurrentFs {
                             added * self.config.mds_cpu_ns_per_extent,
                             Ordering::Relaxed,
                         );
-                        self.queue_writes(phys_ost, writes);
+                        self.queue_writes(phys_ost, |push| {
+                            allocated.iter().for_each(|&(phys, l)| push(phys, l))
+                        });
                     }
                 }
             }
@@ -2081,6 +2148,52 @@ mod tests {
             };
             assert_eq!(run(true), run(false), "{policy}");
         }
+    }
+
+    /// The last close drops the cached window handles (one `Arc` per
+    /// column and stream otherwise lives as long as the file), and a
+    /// writer after a reopen allocates exactly as a run that never claims
+    /// from the cache does.
+    #[test]
+    fn last_close_empties_the_window_cache() {
+        let run = |group_commit: bool| {
+            let mut config = cfg(PolicyKind::OnDemand);
+            config.group_commit = group_commit;
+            let fs = ConcurrentFs::new(config);
+            let file = fs.create("shared", None);
+            let cached = |fs: &ConcurrentFs| {
+                fs.with_inner(file, |inner| {
+                    inner.windows.iter().map(|m| m.len()).sum::<usize>()
+                })
+                .unwrap()
+            };
+            let write_round = |round: u64| {
+                for s in 0..64u32 {
+                    let base = s as u64 * 4096 + round * 32;
+                    for i in 0..8u64 {
+                        fs.write(file, StreamId::new(s, 0), base + i * 4, 4);
+                    }
+                }
+            };
+            write_round(0);
+            assert!(cached(&fs) >= 64, "every stream primed a window");
+            fs.close(file);
+            assert_eq!(cached(&fs), 0, "the last close prunes every column");
+            let file = fs.open("shared").expect("still in the namespace");
+            write_round(1);
+            fs.sync();
+            let extents = fs
+                .with_inner(file, |inner| {
+                    inner
+                        .trees
+                        .iter()
+                        .map(|t| t.extents().copied().collect::<Vec<Extent>>())
+                        .collect::<Vec<_>>()
+                })
+                .unwrap();
+            (extents, fs.free_blocks())
+        };
+        assert_eq!(run(true), run(false));
     }
 
     /// Every write op journals exactly one durable-intent record, and the

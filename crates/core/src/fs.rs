@@ -371,7 +371,7 @@ impl FileSystem {
         let shift = state.ost_shift;
         let striping = state.striping(self.config.stripe_blocks);
         for (col, local, run, _) in
-            striping.split(new_size_blocks, old_size - new_size_blocks, shift)
+            striping.pieces(new_size_blocks, old_size - new_size_blocks, shift)
         {
             let col = col as usize;
             let state = self.files.get_mut(&file.0).expect("file exists");
@@ -646,7 +646,7 @@ impl FileSystem {
         assert!(len > 0, "zero-length write");
         let shift = self.files[&file.0].ost_shift;
         let striping = self.files[&file.0].striping(self.config.stripe_blocks);
-        let pieces = striping.split(offset, len, shift);
+        let pieces = striping.pieces(offset, len, shift);
         let mut new_extents: u64 = 0;
         let delayed = self.config.policy == mif_alloc::PolicyKind::Delayed;
         for (col, local, run, _) in pieces {
@@ -672,10 +672,10 @@ impl FileSystem {
                         .push((gap_start, gap_len));
                     self.writeback_blocks += gap_len;
                 }
-                for (phys, l) in state.trees[col].resolve(local, run) {
+                state.trees[col].resolve_with(local, run, |phys, l| {
                     self.writeback[ost_idx].push(BlockRequest::write(phys, l));
                     self.writeback_blocks += l;
-                }
+                });
                 continue;
             }
 
@@ -714,10 +714,10 @@ impl FileSystem {
 
             // Writes land in the write-back cache; they reach the disks in
             // large sorted flushes.
-            for (phys, l) in state.trees[col].resolve(local, run) {
+            state.trees[col].resolve_with(local, run, |phys, l| {
                 self.writeback[ost_idx].push(BlockRequest::write(phys, l));
                 self.writeback_blocks += l;
-            }
+            });
         }
         let state = self.files.get_mut(&file.0).expect("file exists");
         state.size_blocks = state.size_blocks.max(offset + len);
@@ -733,14 +733,14 @@ impl FileSystem {
         let ctx = stream.as_u64() ^ file.0 .0.rotate_left(17);
         let shift = self.files[&file.0].ost_shift;
         let striping = self.files[&file.0].striping(self.config.stripe_blocks);
-        let pieces = striping.split(offset, len, shift);
+        let pieces = striping.pieces(offset, len, shift);
         for (col, local, run, _) in pieces {
             let col = col as usize;
             let state = self.files.get(&file.0).expect("file exists");
             let ost_idx = state.ost_map[col] as usize;
-            for (phys, l) in state.trees[col].resolve(local, run) {
-                self.pending[ost_idx].push(BlockRequest::read(phys, l).with_ctx(ctx));
-            }
+            state.trees[col].resolve_with(local, run, |phys, l| {
+                self.pending[ost_idx].push(BlockRequest::read(phys, l).with_ctx(ctx))
+            });
         }
     }
 
@@ -757,7 +757,7 @@ impl FileSystem {
         let t0 = self.data_elapsed_ns();
         let shift = self.files[&file.0].ost_shift;
         let striping = self.files[&file.0].striping(self.config.stripe_blocks);
-        for (col, local, run, _) in striping.split(offset, len, shift) {
+        for (col, local, run, _) in striping.pieces(offset, len, shift) {
             let col = col as usize;
             let ost_idx = self.files[&file.0].ost_map[col] as usize;
             // Mapped logical sub-ranges and their physical runs, in order.

@@ -53,23 +53,38 @@ impl Striping {
     /// Split a logical range `[logical, logical+len)` into per-OST dense
     /// runs: `(ost, local_start, run_len, file_logical_start)`.
     pub fn split(&self, logical: u64, len: u64, shift: u32) -> Vec<(u32, u64, u64, u64)> {
-        let mut out = Vec::new();
+        self.pieces(logical, len, shift).collect()
+    }
+
+    /// [`Self::split`] as an iterator: no allocation, and a range inside
+    /// one stripe unit costs one [`Self::locate`].
+    pub fn pieces(
+        self,
+        logical: u64,
+        len: u64,
+        shift: u32,
+    ) -> impl Iterator<Item = (u32, u64, u64, u64)> {
         let mut pos = logical;
         let end = logical + len;
-        while pos < end {
-            let (ost, local) = self.locate(pos, shift);
-            // Run to the end of this stripe unit.
-            let unit_end = (pos / self.stripe_blocks + 1) * self.stripe_blocks;
-            let run = unit_end.min(end) - pos;
-            // Coalesce with the previous entry when it continues the same
-            // OST-local range (single-OST configs, or len < stripe).
-            match out.last_mut() {
-                Some((o, s, l, _)) if *o == ost && *s + *l == local => *l += run,
-                _ => out.push((ost, local, run, pos)),
+        std::iter::from_fn(move || {
+            if pos >= end {
+                return None;
             }
-            pos += run;
-        }
-        out
+            let start = pos;
+            let (ost, local) = self.locate(start, shift);
+            let mut run = 0;
+            loop {
+                // Run to the end of this stripe unit.
+                let unit_end = (pos / self.stripe_blocks + 1) * self.stripe_blocks;
+                run += unit_end.min(end) - pos;
+                pos = start + run;
+                // Go on only while the next unit continues the same
+                // OST-local range (single-OST configs).
+                if pos >= end || self.locate(pos, shift) != (ost, local + run) {
+                    return Some((ost, local, run, start));
+                }
+            }
+        })
     }
 }
 

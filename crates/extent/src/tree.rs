@@ -47,6 +47,24 @@ impl ExtentTree {
     /// (file systems never remap live blocks without deleting first).
     pub fn insert(&mut self, ext: Extent) {
         debug_assert!(ext.len > 0);
+        // Tail-extend: the extent continues its predecessor (so cannot
+        // overlap it) and stops short of its successor, so the predecessor
+        // grows in place — one descent. A successor it runs into, or one
+        // it would also merge with, takes the general path below.
+        let mut upto = self.map.range_mut(..=ext.logical_end()).rev();
+        let mut near = upto.next();
+        let mut merges_next = false;
+        if let Some((_, next)) = near
+            .as_ref()
+            .filter(|(_, n)| n.logical == ext.logical_end())
+        {
+            merges_next = ext.abuts(next);
+            near = upto.next();
+        }
+        if let Some((_, prev)) = near.filter(|(_, p)| p.abuts(&ext) && !merges_next) {
+            prev.len += ext.len;
+            return;
+        }
         // Overlap check against neighbours.
         if let Some((_, prev)) = self.map.range(..=ext.logical).next_back() {
             assert!(
@@ -90,15 +108,25 @@ impl ExtentTree {
     /// Resolve a logical range into the physical runs backing it, in
     /// logical order. Unmapped gaps (holes) are skipped.
     pub fn resolve(&self, logical: u64, len: u64) -> Vec<(u64, u64)> {
-        let mut runs: Vec<(u64, u64)> = Vec::new();
+        let mut runs = Vec::new();
+        self.resolve_with(logical, len, |phys, l| runs.push((phys, l)));
+        runs
+    }
+
+    /// [`Self::resolve`] without the `Vec`: `f(physical, len)` is called
+    /// once per physically contiguous run, in logical order.
+    pub fn resolve_with(&self, logical: u64, len: u64, mut f: impl FnMut(u64, u64)) {
         let end = logical + len;
-        // Start from the extent that may cover `logical`.
-        let start_key = self
-            .map
-            .range(..=logical)
-            .next_back()
-            .map(|(&k, _)| k)
-            .unwrap_or(logical);
+        // Start from the extent that may cover `logical`. When it covers
+        // the whole range — a read inside a run, a write that has just
+        // extended one — there is nothing to walk.
+        let first = self.map.range(..=logical).next_back().map(|(_, e)| *e);
+        if let Some(e) = first.filter(|e| e.logical_end() >= end) {
+            return f(e.physical + (logical - e.logical), len);
+        }
+        let start_key = first.map_or(logical, |e| e.logical);
+        // The run being grown; emitted when the next one is not adjacent.
+        let (mut run_phys, mut run_len) = (0u64, 0u64);
         for (_, e) in self.map.range(start_key..end) {
             let lo = e.logical.max(logical);
             let hi = e.logical_end().min(end);
@@ -106,43 +134,62 @@ impl ExtentTree {
                 continue;
             }
             let phys = e.physical + (lo - e.logical);
-            let run_len = hi - lo;
-            match runs.last_mut() {
-                Some((p, l)) if *p + *l == phys => *l += run_len,
-                _ => runs.push((phys, run_len)),
+            if run_len > 0 && run_phys + run_len == phys {
+                run_len += hi - lo;
+            } else {
+                if run_len > 0 {
+                    f(run_phys, run_len);
+                }
+                (run_phys, run_len) = (phys, hi - lo);
             }
         }
-        runs
+        if run_len > 0 {
+            f(run_phys, run_len);
+        }
     }
 
     /// Unmapped sub-ranges (holes) of `[logical, logical+len)`, in order.
     /// An extending write allocates exactly these.
     pub fn gaps(&self, logical: u64, len: u64) -> Vec<(u64, u64)> {
-        let mut out = Vec::new();
         let end = logical + len;
         let mut pos = logical;
-        let start_key = self
-            .map
-            .range(..=logical)
-            .next_back()
-            .map(|(&k, _)| k)
-            .unwrap_or(logical);
-        for (_, e) in self.map.range(start_key..end) {
-            if e.logical_end() <= pos {
-                continue;
-            }
-            if e.logical > pos {
-                out.push((pos, e.logical.min(end) - pos));
-            }
+        std::iter::from_fn(|| {
+            let gap = self.next_gap(pos, end)?;
+            pos = gap.0 + gap.1;
+            Some(gap)
+        })
+        .collect()
+    }
+
+    /// The first hole of `[pos, end)` as `(start, len)`. Restartable: a
+    /// caller that maps the hole asks again from its end, so it may insert
+    /// between calls.
+    pub fn next_gap(&self, mut pos: u64, end: u64) -> Option<(u64, u64)> {
+        if pos >= end {
+            return None;
+        }
+        // Only extents starting before `end` matter, and when the last of
+        // them starts at or before `pos` — an append, an overwrite inside
+        // a run — it alone decides: nothing else reaches past `pos`.
+        let Some((_, last)) = self.map.range(..end).next_back() else {
+            return Some((pos, end - pos));
+        };
+        if last.logical <= pos {
+            pos = pos.max(last.logical_end());
+            return (pos < end).then(|| (pos, end - pos));
+        }
+        if let Some((_, e)) = self.map.range(..=pos).next_back() {
             pos = pos.max(e.logical_end());
-            if pos >= end {
-                break;
+        }
+        // Extents are disjoint: each later one either continues the mapped
+        // stretch from `pos` or bounds the hole that starts there.
+        for (_, e) in self.map.range(pos..end) {
+            if e.logical > pos {
+                return Some((pos, e.logical - pos));
             }
+            pos = e.logical_end();
         }
-        if pos < end {
-            out.push((pos, end - pos));
-        }
-        out
+        (pos < end).then(|| (pos, end - pos))
     }
 
     /// Iterate extents in logical order.

@@ -52,13 +52,43 @@ const TAG_XS_INTENT: u8 = 53;
 const TAG_XS_CAS: u8 = 54;
 const TAG_XS_COMMIT: u8 = 55;
 
+const FNV_PRIME: u64 = 0x100_0000_01b3;
+
 fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
         h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
+        h = h.wrapping_mul(FNV_PRIME);
     }
     h
+}
+
+/// Frame one record: magic, seqno, tag, payload length, payload, zero
+/// padding, and FNV-1a over everything before the checksum — the framing
+/// every record family shares.
+///
+/// FNV-1a over a zero byte is `h * PRIME`, so the padding is folded into
+/// one multiply by `PRIME^n` instead of being walked; the sum equals
+/// `fnv1a(&rec[..CHECKSUM_OFFSET])` bit for bit. Recovery does walk all
+/// 120 bytes: it cannot assume the padding it reads back is still zero.
+#[inline]
+fn frame_record(seqno: u64, tag: u8, payload: &[u8]) -> [u8; WAL_RECORD_BYTES] {
+    assert!(
+        payload.len() <= MAX_PAYLOAD,
+        "operation too large for one WAL record ({} > {MAX_PAYLOAD} bytes)",
+        payload.len()
+    );
+    let used = HEADER_BYTES + payload.len();
+    let mut rec = [0u8; WAL_RECORD_BYTES];
+    rec[0..4].copy_from_slice(&MAGIC.to_le_bytes());
+    rec[4..12].copy_from_slice(&seqno.to_le_bytes());
+    rec[12] = tag;
+    rec[13..15].copy_from_slice(&(payload.len() as u16).to_le_bytes());
+    rec[HEADER_BYTES..used].copy_from_slice(payload);
+    let zeros = (CHECKSUM_OFFSET - used) as u32;
+    let sum = fnv1a(&rec[..used]).wrapping_mul(FNV_PRIME.wrapping_pow(zeros));
+    rec[CHECKSUM_OFFSET..].copy_from_slice(&sum.to_le_bytes());
+    rec
 }
 
 fn push_name(buf: &mut Vec<u8>, name: &str) {
@@ -131,11 +161,6 @@ fn encode_payload(op: &LoggedOp) -> (u8, Vec<u8>) {
             TAG_RENAME
         }
     };
-    assert!(
-        buf.len() <= MAX_PAYLOAD,
-        "operation too large for one WAL record ({} > {MAX_PAYLOAD} bytes)",
-        buf.len()
-    );
     (tag, buf)
 }
 
@@ -177,15 +202,7 @@ fn decode_payload(tag: u8, payload: &[u8]) -> Option<LoggedOp> {
 /// Encode one operation as a checksummed record.
 pub fn encode_record(seqno: u64, op: &LoggedOp) -> [u8; WAL_RECORD_BYTES] {
     let (tag, payload) = encode_payload(op);
-    let mut rec = [0u8; WAL_RECORD_BYTES];
-    rec[0..4].copy_from_slice(&MAGIC.to_le_bytes());
-    rec[4..12].copy_from_slice(&seqno.to_le_bytes());
-    rec[12] = tag;
-    rec[13..15].copy_from_slice(&(payload.len() as u16).to_le_bytes());
-    rec[HEADER_BYTES..HEADER_BYTES + payload.len()].copy_from_slice(&payload);
-    let sum = fnv1a(&rec[..CHECKSUM_OFFSET]);
-    rec[CHECKSUM_OFFSET..].copy_from_slice(&sum.to_le_bytes());
-    rec
+    frame_record(seqno, tag, &payload)
 }
 
 /// Why a recovery scan stopped.
@@ -232,6 +249,20 @@ impl Recovery {
 /// `first_seqno` is the sequence number the first record must carry
 /// (0 for a fresh log); each following record must increment it by one.
 pub fn recover(image: &[u8], first_seqno: u64) -> Recovery {
+    let (ops, stop) = scan(image, first_seqno, decode_payload);
+    Recovery { ops, stop }
+}
+
+/// The scan every record family's recovery runs: accept records while the
+/// magic, the checksum over all 120 framed bytes (padding included — what
+/// comes back from the media is not assumed to be what was written), the
+/// seqno and `decode` of the tagged payload all hold; report why it
+/// stopped.
+fn scan<T>(
+    image: &[u8],
+    first_seqno: u64,
+    decode: impl Fn(u8, &[u8]) -> Option<T>,
+) -> (Vec<T>, RecoveryStop) {
     let mut ops = Vec::new();
     let mut at = 0u64;
     let mut pos = 0usize;
@@ -261,7 +292,7 @@ pub fn recover(image: &[u8], first_seqno: u64) -> Recovery {
         }
         let len = u16::from_le_bytes(rec[13..15].try_into().expect("2 bytes")) as usize;
         let op = if len <= MAX_PAYLOAD {
-            decode_payload(rec[12], &rec[HEADER_BYTES..HEADER_BYTES + len])
+            decode(rec[12], &rec[HEADER_BYTES..HEADER_BYTES + len])
         } else {
             None
         };
@@ -272,7 +303,7 @@ pub fn recover(image: &[u8], first_seqno: u64) -> Recovery {
         at += 1;
         pos += WAL_RECORD_BYTES;
     };
-    Recovery { ops, stop }
+    (ops, stop)
 }
 
 /// An append-only WAL image under construction.
@@ -387,7 +418,6 @@ fn encode_remap_payload(op: &RemapOp) -> (u8, Vec<u8>) {
     buf.extend_from_slice(&t.dest.to_le_bytes());
     buf.extend_from_slice(&t.total.to_le_bytes());
     buf.extend_from_slice(&t.dst_ost.to_le_bytes());
-    debug_assert!(buf.len() <= MAX_PAYLOAD);
     (tag, buf)
 }
 
@@ -416,15 +446,7 @@ fn decode_remap_payload(tag: u8, payload: &[u8]) -> Option<RemapOp> {
 /// checksum — see [`encode_record`]).
 pub fn encode_remap_record(seqno: u64, op: &RemapOp) -> [u8; WAL_RECORD_BYTES] {
     let (tag, payload) = encode_remap_payload(op);
-    let mut rec = [0u8; WAL_RECORD_BYTES];
-    rec[0..4].copy_from_slice(&MAGIC.to_le_bytes());
-    rec[4..12].copy_from_slice(&seqno.to_le_bytes());
-    rec[12] = tag;
-    rec[13..15].copy_from_slice(&(payload.len() as u16).to_le_bytes());
-    rec[HEADER_BYTES..HEADER_BYTES + payload.len()].copy_from_slice(&payload);
-    let sum = fnv1a(&rec[..CHECKSUM_OFFSET]);
-    rec[CHECKSUM_OFFSET..].copy_from_slice(&sum.to_le_bytes());
-    rec
+    frame_record(seqno, tag, &payload)
 }
 
 /// The result of scanning a remap WAL image.
@@ -440,46 +462,7 @@ pub struct RemapRecovery {
 /// clean prefix; magic, checksum, seqno and payload all validated), but
 /// decoding the defrag record tags.
 pub fn recover_remaps(image: &[u8], first_seqno: u64) -> RemapRecovery {
-    let mut ops = Vec::new();
-    let mut at = 0u64;
-    let mut pos = 0usize;
-    let stop = loop {
-        if pos == image.len() {
-            break RecoveryStop::CleanEnd;
-        }
-        if image.len() - pos < WAL_RECORD_BYTES {
-            break RecoveryStop::TornTail { at };
-        }
-        let rec = &image[pos..pos + WAL_RECORD_BYTES];
-        if rec[0..4] != MAGIC.to_le_bytes() {
-            break RecoveryStop::BadMagic { at };
-        }
-        let sum = u64::from_le_bytes(rec[CHECKSUM_OFFSET..].try_into().expect("8 bytes"));
-        if fnv1a(&rec[..CHECKSUM_OFFSET]) != sum {
-            break RecoveryStop::BadChecksum { at };
-        }
-        let seqno = u64::from_le_bytes(rec[4..12].try_into().expect("8 bytes"));
-        let expected = first_seqno + at;
-        if seqno != expected {
-            break RecoveryStop::SeqnoMismatch {
-                at,
-                expected,
-                found: seqno,
-            };
-        }
-        let len = u16::from_le_bytes(rec[13..15].try_into().expect("2 bytes")) as usize;
-        let op = if len <= MAX_PAYLOAD {
-            decode_remap_payload(rec[12], &rec[HEADER_BYTES..HEADER_BYTES + len])
-        } else {
-            None
-        };
-        match op {
-            Some(op) => ops.push(op),
-            None => break RecoveryStop::BadPayload { at },
-        }
-        at += 1;
-        pos += WAL_RECORD_BYTES;
-    };
+    let (ops, stop) = scan(image, first_seqno, decode_remap_payload);
     RemapRecovery { ops, stop }
 }
 
@@ -630,7 +613,6 @@ fn encode_tier_payload(op: &TierOp) -> (u8, Vec<u8>) {
     buf.extend_from_slice(&t.len.to_le_bytes());
     buf.extend_from_slice(&t.dst_ost.to_le_bytes());
     buf.extend_from_slice(&t.dst_phys.to_le_bytes());
-    debug_assert!(buf.len() <= MAX_PAYLOAD);
     (tag, buf)
 }
 
@@ -661,15 +643,7 @@ fn decode_tier_payload(tag: u8, payload: &[u8]) -> Option<TierOp> {
 /// checksum — see [`encode_record`]).
 pub fn encode_tier_record(seqno: u64, op: &TierOp) -> [u8; WAL_RECORD_BYTES] {
     let (tag, payload) = encode_tier_payload(op);
-    let mut rec = [0u8; WAL_RECORD_BYTES];
-    rec[0..4].copy_from_slice(&MAGIC.to_le_bytes());
-    rec[4..12].copy_from_slice(&seqno.to_le_bytes());
-    rec[12] = tag;
-    rec[13..15].copy_from_slice(&(payload.len() as u16).to_le_bytes());
-    rec[HEADER_BYTES..HEADER_BYTES + payload.len()].copy_from_slice(&payload);
-    let sum = fnv1a(&rec[..CHECKSUM_OFFSET]);
-    rec[CHECKSUM_OFFSET..].copy_from_slice(&sum.to_le_bytes());
-    rec
+    frame_record(seqno, tag, &payload)
 }
 
 /// The result of scanning a tier WAL image.
@@ -685,46 +659,7 @@ pub struct TierRecovery {
 /// clean prefix; magic, checksum, seqno and payload all validated), but
 /// decoding the tier-redundancy record tags.
 pub fn recover_tier(image: &[u8], first_seqno: u64) -> TierRecovery {
-    let mut ops = Vec::new();
-    let mut at = 0u64;
-    let mut pos = 0usize;
-    let stop = loop {
-        if pos == image.len() {
-            break RecoveryStop::CleanEnd;
-        }
-        if image.len() - pos < WAL_RECORD_BYTES {
-            break RecoveryStop::TornTail { at };
-        }
-        let rec = &image[pos..pos + WAL_RECORD_BYTES];
-        if rec[0..4] != MAGIC.to_le_bytes() {
-            break RecoveryStop::BadMagic { at };
-        }
-        let sum = u64::from_le_bytes(rec[CHECKSUM_OFFSET..].try_into().expect("8 bytes"));
-        if fnv1a(&rec[..CHECKSUM_OFFSET]) != sum {
-            break RecoveryStop::BadChecksum { at };
-        }
-        let seqno = u64::from_le_bytes(rec[4..12].try_into().expect("8 bytes"));
-        let expected = first_seqno + at;
-        if seqno != expected {
-            break RecoveryStop::SeqnoMismatch {
-                at,
-                expected,
-                found: seqno,
-            };
-        }
-        let len = u16::from_le_bytes(rec[13..15].try_into().expect("2 bytes")) as usize;
-        let op = if len <= MAX_PAYLOAD {
-            decode_tier_payload(rec[12], &rec[HEADER_BYTES..HEADER_BYTES + len])
-        } else {
-            None
-        };
-        match op {
-            Some(op) => ops.push(op),
-            None => break RecoveryStop::BadPayload { at },
-        }
-        at += 1;
-        pos += WAL_RECORD_BYTES;
-    };
+    let (ops, stop) = scan(image, first_seqno, decode_tier_payload);
     TierRecovery { ops, stop }
 }
 
@@ -801,21 +736,14 @@ pub struct WriteCommit {
 /// Encode one write-commit record with the standard framing (magic,
 /// seqno, checksum — see [`encode_record`]).
 pub fn encode_write_record(seqno: u64, w: &WriteCommit) -> [u8; WAL_RECORD_BYTES] {
-    let mut payload = Vec::with_capacity(32);
-    payload.extend_from_slice(&w.file.to_le_bytes());
-    payload.extend_from_slice(&w.stream.to_le_bytes());
-    payload.extend_from_slice(&w.offset.to_le_bytes());
-    payload.extend_from_slice(&w.len.to_le_bytes());
-    debug_assert!(payload.len() <= MAX_PAYLOAD);
-    let mut rec = [0u8; WAL_RECORD_BYTES];
-    rec[0..4].copy_from_slice(&MAGIC.to_le_bytes());
-    rec[4..12].copy_from_slice(&seqno.to_le_bytes());
-    rec[12] = TAG_WRITE_COMMIT;
-    rec[13..15].copy_from_slice(&(payload.len() as u16).to_le_bytes());
-    rec[HEADER_BYTES..HEADER_BYTES + payload.len()].copy_from_slice(&payload);
-    let sum = fnv1a(&rec[..CHECKSUM_OFFSET]);
-    rec[CHECKSUM_OFFSET..].copy_from_slice(&sum.to_le_bytes());
-    rec
+    let mut payload = [0u8; 32];
+    for (dst, field) in payload
+        .chunks_exact_mut(8)
+        .zip([w.file, w.stream, w.offset, w.len])
+    {
+        dst.copy_from_slice(&field.to_le_bytes());
+    }
+    frame_record(seqno, TAG_WRITE_COMMIT, &payload)
 }
 
 fn decode_write_payload(tag: u8, payload: &[u8]) -> Option<WriteCommit> {
@@ -848,46 +776,7 @@ pub struct WriteRecovery {
 /// multi-record buffer recovers exactly the records persisted whole —
 /// all-or-prefix per record, never a partial record.
 pub fn recover_writes(image: &[u8], first_seqno: u64) -> WriteRecovery {
-    let mut ops = Vec::new();
-    let mut at = 0u64;
-    let mut pos = 0usize;
-    let stop = loop {
-        if pos == image.len() {
-            break RecoveryStop::CleanEnd;
-        }
-        if image.len() - pos < WAL_RECORD_BYTES {
-            break RecoveryStop::TornTail { at };
-        }
-        let rec = &image[pos..pos + WAL_RECORD_BYTES];
-        if rec[0..4] != MAGIC.to_le_bytes() {
-            break RecoveryStop::BadMagic { at };
-        }
-        let sum = u64::from_le_bytes(rec[CHECKSUM_OFFSET..].try_into().expect("8 bytes"));
-        if fnv1a(&rec[..CHECKSUM_OFFSET]) != sum {
-            break RecoveryStop::BadChecksum { at };
-        }
-        let seqno = u64::from_le_bytes(rec[4..12].try_into().expect("8 bytes"));
-        let expected = first_seqno + at;
-        if seqno != expected {
-            break RecoveryStop::SeqnoMismatch {
-                at,
-                expected,
-                found: seqno,
-            };
-        }
-        let len = u16::from_le_bytes(rec[13..15].try_into().expect("2 bytes")) as usize;
-        let op = if len <= MAX_PAYLOAD {
-            decode_write_payload(rec[12], &rec[HEADER_BYTES..HEADER_BYTES + len])
-        } else {
-            None
-        };
-        match op {
-            Some(op) => ops.push(op),
-            None => break RecoveryStop::BadPayload { at },
-        }
-        at += 1;
-        pos += WAL_RECORD_BYTES;
-    };
+    let (ops, stop) = scan(image, first_seqno, decode_write_payload);
     WriteRecovery { ops, stop }
 }
 
@@ -1051,11 +940,6 @@ fn encode_shard_payload(rec: &ShardRecord) -> (u8, Vec<u8>) {
             TAG_XS_COMMIT
         }
     };
-    assert!(
-        buf.len() <= MAX_PAYLOAD,
-        "shard record too large for one WAL record ({} > {MAX_PAYLOAD} bytes)",
-        buf.len()
-    );
     (tag, buf)
 }
 
@@ -1128,15 +1012,7 @@ fn decode_shard_payload(tag: u8, payload: &[u8]) -> Option<ShardRecord> {
 /// checksum — see [`encode_record`]).
 pub fn encode_shard_record(seqno: u64, rec: &ShardRecord) -> [u8; WAL_RECORD_BYTES] {
     let (tag, payload) = encode_shard_payload(rec);
-    let mut out = [0u8; WAL_RECORD_BYTES];
-    out[0..4].copy_from_slice(&MAGIC.to_le_bytes());
-    out[4..12].copy_from_slice(&seqno.to_le_bytes());
-    out[12] = tag;
-    out[13..15].copy_from_slice(&(payload.len() as u16).to_le_bytes());
-    out[HEADER_BYTES..HEADER_BYTES + payload.len()].copy_from_slice(&payload);
-    let sum = fnv1a(&out[..CHECKSUM_OFFSET]);
-    out[CHECKSUM_OFFSET..].copy_from_slice(&sum.to_le_bytes());
-    out
+    frame_record(seqno, tag, &payload)
 }
 
 /// The result of scanning one shard's WAL image.
@@ -1153,46 +1029,7 @@ pub struct ShardRecovery {
 /// clean prefix; magic, checksum, seqno and payload all validated), but
 /// decoding the sharded-namespace record tags.
 pub fn recover_shard(image: &[u8], first_seqno: u64) -> ShardRecovery {
-    let mut records = Vec::new();
-    let mut at = 0u64;
-    let mut pos = 0usize;
-    let stop = loop {
-        if pos == image.len() {
-            break RecoveryStop::CleanEnd;
-        }
-        if image.len() - pos < WAL_RECORD_BYTES {
-            break RecoveryStop::TornTail { at };
-        }
-        let rec = &image[pos..pos + WAL_RECORD_BYTES];
-        if rec[0..4] != MAGIC.to_le_bytes() {
-            break RecoveryStop::BadMagic { at };
-        }
-        let sum = u64::from_le_bytes(rec[CHECKSUM_OFFSET..].try_into().expect("8 bytes"));
-        if fnv1a(&rec[..CHECKSUM_OFFSET]) != sum {
-            break RecoveryStop::BadChecksum { at };
-        }
-        let seqno = u64::from_le_bytes(rec[4..12].try_into().expect("8 bytes"));
-        let expected = first_seqno + at;
-        if seqno != expected {
-            break RecoveryStop::SeqnoMismatch {
-                at,
-                expected,
-                found: seqno,
-            };
-        }
-        let len = u16::from_le_bytes(rec[13..15].try_into().expect("2 bytes")) as usize;
-        let op = if len <= MAX_PAYLOAD {
-            decode_shard_payload(rec[12], &rec[HEADER_BYTES..HEADER_BYTES + len])
-        } else {
-            None
-        };
-        match op {
-            Some(op) => records.push(op),
-            None => break RecoveryStop::BadPayload { at },
-        }
-        at += 1;
-        pos += WAL_RECORD_BYTES;
-    };
+    let (records, stop) = scan(image, first_seqno, decode_shard_payload);
     ShardRecovery { records, stop }
 }
 
@@ -1657,6 +1494,160 @@ mod tests {
         );
     }
 
+    /// The reference framing: FNV-1a walked byte by byte over all 120
+    /// bytes, padding included.
+    fn frame_record_bytewise(seqno: u64, tag: u8, payload: &[u8]) -> [u8; WAL_RECORD_BYTES] {
+        let mut rec = [0u8; WAL_RECORD_BYTES];
+        rec[0..4].copy_from_slice(&MAGIC.to_le_bytes());
+        rec[4..12].copy_from_slice(&seqno.to_le_bytes());
+        rec[12] = tag;
+        rec[13..15].copy_from_slice(&(payload.len() as u16).to_le_bytes());
+        rec[HEADER_BYTES..HEADER_BYTES + payload.len()].copy_from_slice(payload);
+        let sum = fnv1a(&rec[..CHECKSUM_OFFSET]);
+        rec[CHECKSUM_OFFSET..].copy_from_slice(&sum.to_le_bytes());
+        rec
+    }
+
+    #[test]
+    fn folded_checksum_equals_the_bytewise_framing_for_every_tag_and_length() {
+        const TAGS: [u8; 18] = [
+            TAG_MKDIR,
+            TAG_CREATE,
+            TAG_UTIME,
+            TAG_UNLINK,
+            TAG_RENAME,
+            TAG_REMAP_INTENT,
+            TAG_REMAP_COMMIT,
+            TAG_TIER_INTENT,
+            TAG_TIER_COMMIT,
+            TAG_WRITE_COMMIT,
+            TAG_SHARD_MKDIR,
+            TAG_SHARD_CREATE,
+            TAG_SHARD_UTIME,
+            TAG_SHARD_UNLINK,
+            TAG_SHARD_RENAME,
+            TAG_XS_INTENT,
+            TAG_XS_CAS,
+            TAG_XS_COMMIT,
+        ];
+        let mut rng = mif_rng::SmallRng::seed_from_u64(0xF0_1DED);
+        for tag in TAGS {
+            for len in 0..=MAX_PAYLOAD {
+                // Zero bytes inside the payload are the interesting ones:
+                // they must not be mistaken for padding.
+                let payload: Vec<u8> = (0..len)
+                    .map(|_| if rng.gen_bool(0.25) { 0 } else { rng.gen() })
+                    .collect();
+                let seqno = rng.next_u64();
+                assert_eq!(
+                    frame_record(seqno, tag, &payload),
+                    frame_record_bytewise(seqno, tag, &payload),
+                    "tag {tag} len {len}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn encoders_produce_the_bytewise_framing() {
+        for (i, op) in sample_ops().iter().enumerate() {
+            let (tag, payload) = encode_payload(op);
+            assert_eq!(
+                encode_record(i as u64, op),
+                frame_record_bytewise(i as u64, tag, &payload)
+            );
+        }
+        let remap = RemapOp::Intent(sample_txn());
+        let (tag, payload) = encode_remap_payload(&remap);
+        assert_eq!(
+            encode_remap_record(7, &remap),
+            frame_record_bytewise(7, tag, &payload)
+        );
+        let tier = TierOp::Commit(sample_tier_txn(TierKind::Parity));
+        let (tag, payload) = encode_tier_payload(&tier);
+        assert_eq!(
+            encode_tier_record(8, &tier),
+            frame_record_bytewise(8, tag, &payload)
+        );
+        let w = sample_write(3);
+        let mut payload = Vec::new();
+        for field in [w.file, w.stream, w.offset, w.len] {
+            payload.extend_from_slice(&field.to_le_bytes());
+        }
+        assert_eq!(
+            encode_write_record(9, &w),
+            frame_record_bytewise(9, TAG_WRITE_COMMIT, &payload)
+        );
+    }
+
+    /// Flip each bit of record 1's zero padding in turn; `scan` returns how
+    /// many records the family's recovery accepted and why it stopped.
+    /// Recovery must not take the padding on trust: every flip is a bad
+    /// checksum at record 1, with record 0 kept.
+    pub(super) fn padding_flips_stop_the_scan(
+        image: &[u8],
+        scan: impl Fn(&[u8]) -> (usize, RecoveryStop),
+    ) {
+        assert!(image.len() >= 3 * WAL_RECORD_BYTES);
+        assert_eq!(scan(image).1, RecoveryStop::CleanEnd);
+        let rec = &image[WAL_RECORD_BYTES..2 * WAL_RECORD_BYTES];
+        let len = u16::from_le_bytes([rec[13], rec[14]]) as usize;
+        let padding = WAL_RECORD_BYTES + HEADER_BYTES + len..WAL_RECORD_BYTES + CHECKSUM_OFFSET;
+        assert!(!padding.is_empty(), "record 1 must have padding to flip");
+        for byte in padding {
+            assert_eq!(image[byte], 0);
+            for bit in 0..8 {
+                let mut img = image.to_vec();
+                img[byte] ^= 1 << bit;
+                assert_eq!(
+                    scan(&img),
+                    (1, RecoveryStop::BadChecksum { at: 1 }),
+                    "byte {byte} bit {bit}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_flipped_padding_bit_is_a_bad_checksum_in_every_family() {
+        let mut meta = WalWriter::new();
+        sample_ops().iter().for_each(|op| meta.append(op));
+        padding_flips_stop_the_scan(meta.image(), |img| {
+            let r = recover(img, 0);
+            (r.ops.len(), r.stop)
+        });
+
+        let mut remap = RemapWal::new();
+        for op in [
+            RemapOp::Intent(sample_txn()),
+            RemapOp::Commit(sample_txn()),
+            RemapOp::Intent(sample_txn()),
+        ] {
+            remap.append(&op);
+        }
+        padding_flips_stop_the_scan(remap.image(), |img| {
+            let r = recover_remaps(img, 0);
+            (r.ops.len(), r.stop)
+        });
+
+        let mut tier = TierWal::new();
+        for kind in [TierKind::Replica, TierKind::Parity, TierKind::Replica] {
+            tier.append(&TierOp::Intent(sample_tier_txn(kind)));
+        }
+        padding_flips_stop_the_scan(tier.image(), |img| {
+            let r = recover_tier(img, 0);
+            (r.ops.len(), r.stop)
+        });
+
+        let writes: Vec<u8> = (0..3)
+            .flat_map(|i| encode_write_record(i, &sample_write(i)))
+            .collect();
+        padding_flips_stop_the_scan(&writes, |img| {
+            let r = recover_writes(img, 0);
+            (r.ops.len(), r.stop)
+        });
+    }
+
     #[test]
     fn recovery_replays_to_consistent_mds() {
         let mut w = WalWriter::new();
@@ -1807,6 +1798,16 @@ mod shard_wal_tests {
         let r = recover(&img, 0);
         assert_eq!(r.ops.len(), 1);
         assert_eq!(r.stop, RecoveryStop::BadPayload { at: 1 });
+    }
+
+    #[test]
+    fn a_flipped_padding_bit_is_a_bad_checksum_in_the_shard_family() {
+        let mut wal = ShardWal::new();
+        sample_records().iter().for_each(|rec| wal.append(rec));
+        super::tests::padding_flips_stop_the_scan(wal.image(), |img| {
+            let r = recover_shard(img, 0);
+            (r.records.len(), r.stop)
+        });
     }
 
     #[test]
