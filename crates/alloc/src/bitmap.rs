@@ -151,10 +151,6 @@ impl BlockBitmap {
         self.free
     }
 
-    pub fn used_count(&self) -> u64 {
-        self.blocks - self.free
-    }
-
     /// Is `block` allocated?
     pub fn is_allocated(&self, block: u64) -> bool {
         debug_assert!(block < self.blocks);

@@ -21,9 +21,7 @@
 //! Two further §II-B baselines are declared here ([`PolicyKind::Delayed`]
 //! and [`PolicyKind::Cow`]) but implemented above the policy layer, in the
 //! file system's write path: delayed allocation happens at write-back
-//! flush, copy-on-write relocates overwrites to the log head. The buddy
-//! allocator ([`BuddyAllocator`]) provides the mballoc-style free-space
-//! structure as an alternative to the linear bitmap.
+//! flush, copy-on-write relocates overwrites to the log head.
 //!
 //! Free space itself is managed by [`GroupedAllocator`] — the paper's
 //! *parallel allocation groups* (PAG, §V-A): the disk is divided into
@@ -51,7 +49,6 @@
 //! ```
 
 pub mod bitmap;
-pub mod buddy;
 pub mod bump;
 pub mod group;
 pub mod lockorder;
@@ -63,7 +60,6 @@ pub mod stream;
 pub mod vanilla;
 
 pub use bitmap::{BlockBitmap, FreeRunHistogram};
-pub use buddy::BuddyAllocator;
 pub use bump::BumpWindow;
 pub use group::GroupedAllocator;
 pub use ondemand::OnDemandStats;

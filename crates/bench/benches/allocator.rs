@@ -2,8 +2,8 @@
 //! policy and the bitmap search primitives.
 
 use mif_alloc::{
-    AllocPolicy, BlockBitmap, BuddyAllocator, FileId, GroupedAllocator, OnDemandPolicy,
-    ReservationPolicy, StreamId, VanillaPolicy,
+    AllocPolicy, BlockBitmap, FileId, GroupedAllocator, OnDemandPolicy, ReservationPolicy,
+    StreamId, VanillaPolicy,
 };
 use mif_bench::micro::bench;
 
@@ -80,43 +80,7 @@ fn policies() {
     );
 }
 
-fn buddy_vs_bitmap() {
-    bench(
-        "free-space/512 cycles of 64 blocks/bitmap linear scan",
-        || BlockBitmap::new(1 << 20),
-        |mut bm| {
-            let mut live = Vec::new();
-            for i in 0..512u64 {
-                if let Some(s) = bm.alloc_run(i * 391 % (1 << 20), 64) {
-                    live.push(s);
-                }
-                if i % 2 == 1 {
-                    bm.free_range(live.remove(0), 64);
-                }
-            }
-            bm
-        },
-    );
-    bench(
-        "free-space/512 cycles of 64 blocks/buddy (mballoc-style)",
-        || BuddyAllocator::new(1 << 20),
-        |mut bd| {
-            let mut live = Vec::new();
-            for i in 0..512u64 {
-                if let Some((s, _)) = bd.alloc(i * 391 % (1 << 20), 64) {
-                    live.push(s);
-                }
-                if i % 2 == 1 {
-                    bd.free(live.remove(0));
-                }
-            }
-            bd
-        },
-    );
-}
-
 fn main() {
     bitmap();
     policies();
-    buddy_vs_bitmap();
 }

@@ -23,17 +23,11 @@
 //! | `ablate_cow` | §II-B copy-on-write writes fast / reads compromised |
 //! | `ablate_replication` | §II-B reorganization cost + false-prediction risk |
 //! | `ablate_aggregation` | §II-A.2 readdirplus / open-getlayout pairs |
-//! | `stream_scaling` | BENCH 6: threads × policy through the concurrent front-end, with per-op latency percentiles and contention counters (`BENCH_6.json`) |
-//! | `service_scaling` | BENCH 7: {100, 10k, 100k} simulated clients through the `mif-server` service path over a zipf file population, with ack-latency percentiles and queue/admission park counters (`BENCH_7.json`) |
 //!
 //! Micro-benches live under `benches/` and use the tiny wall-clock
 //! harness in [`micro`] (`cargo bench` — no external harness needed).
-//! Latency percentiles come from the log-spaced histograms in [`hist`].
 
-pub mod hist;
 pub mod micro;
-
-pub use hist::{LatencyHist, Percentiles};
 
 /// Print a section header.
 pub fn section(title: &str) {

@@ -24,9 +24,7 @@
 //!   is one short inner lock;
 //! * **data-path WAL** ([`GroupCommitWal`]): records stage lock-free into
 //!   a circular slab; one leader coalesces everything staged into a
-//!   single merged flush (see `docs/CONCURRENCY.md` § group commit).
-//!   `FsConfig::group_commit = false` restores the PR-5 baseline of one
-//!   flush per record;
+//!   single merged flush (see `docs/CONCURRENCY.md` § group commit);
 //! * **power state**: each shard mirrors its disk's powered-off flag in
 //!   a lock-free `AtomicBool`, refreshed wherever the disk lock is held,
 //!   so the write hot path never sweeps disk mutexes just to notice a
@@ -34,7 +32,7 @@
 //! * **counters**: next-file id, write-back watermark, MDS CPU time,
 //!   the aggregated disk statistics ([`SharedDiskStats`]) and the
 //!   contention telemetry ([`ContentionSnapshot`]) are lock-free
-//!   atomics feeding [`crate::metrics`] and `BENCH 6`.
+//!   atomics feeding [`crate::metrics`].
 //!
 //! # Lock order
 //!
@@ -176,8 +174,7 @@ struct OstShard {
     disk: Mutex<Disk>,
     /// Lock-free mirror of `disk.powered_off()`, refreshed whenever the
     /// disk lock is held and power state may have changed. The write hot
-    /// path reads this instead of sweeping every shard's disk lock —
-    /// the single hottest serialization point of the PR-5 front-end
+    /// path reads this instead of sweeping every shard's disk lock
     /// (`osts` lock acquisitions per write).
     powered_off: AtomicBool,
     /// Lock-free mirror of the bay's [`DiskHealth`] (stored as the enum's
@@ -221,7 +218,7 @@ struct FileInner {
 }
 
 /// Lock-free tallies of how often the front-end's serialization points
-/// are actually exercised (the `BENCH 6` reduced-contention evidence).
+/// are actually exercised.
 #[derive(Default)]
 struct ContentionCounters {
     write_ops: AtomicU64,
@@ -233,10 +230,9 @@ struct ContentionCounters {
 }
 
 /// Snapshot of the front-end's contention counters. Single-core CI cannot
-/// show wall-clock scaling, so `BENCH 6` proves the lock-free paths by
-/// their effect instead: with group commit on, `disk_lock_acquisitions`
-/// and `wal_flushes` per write op drop by well over 4x against the
-/// `group_commit = false` baseline.
+/// show wall-clock scaling, so the lock-free paths are shown by their
+/// effect instead: a healthy write takes no disk lock (`disk_lock_acquisitions
+/// == writeback_batches`) and `wal_flushes` follows syncs, not writes.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ContentionSnapshot {
     /// Write operations issued through [`ConcurrentFs::write`]/`try_write`.
@@ -253,8 +249,7 @@ pub struct ContentionSnapshot {
     pub writeback_requests: u64,
     /// Records staged in the data-path WAL.
     pub wal_records: u64,
-    /// Merged journal flushes (== `wal_records` when `group_commit` is
-    /// off: every record pays its own flush).
+    /// Merged journal flushes.
     pub wal_flushes: u64,
     /// Largest number of records one flush coalesced.
     pub wal_max_batch: u64,
@@ -269,7 +264,7 @@ pub struct ContentionSnapshot {
 /// for evidence purposes — one struct, one code path.
 #[derive(Debug, Clone)]
 pub struct FsStats {
-    /// Serialization-point tallies (the `BENCH 6` contention evidence).
+    /// Serialization-point tallies.
     pub contention: ContentionSnapshot,
     /// Aggregated data-disk IO totals ([`SharedDiskStats`] snapshot).
     pub io: DiskStats,
@@ -284,53 +279,6 @@ pub struct FsStats {
     pub health: Vec<DiskHealth>,
     /// Lifecycle counters: rebuilds, drains, additions, scrub progress.
     pub lifecycle: LifecycleStats,
-}
-
-impl FsStats {
-    /// Files counted by the extent histogram.
-    pub fn hist_files(&self) -> u64 {
-        self.extent_hist.iter().sum()
-    }
-
-    /// Render the histogram as `1:12 2-3:4 ...`, skipping empty buckets.
-    pub fn hist_display(&self) -> String {
-        let mut out = String::new();
-        for (i, &n) in self.extent_hist.iter().enumerate() {
-            if n == 0 {
-                continue;
-            }
-            if !out.is_empty() {
-                out.push(' ');
-            }
-            let lo = 1u64 << i;
-            let hi = (1u64 << (i + 1)) - 1;
-            if i == 15 {
-                out.push_str(&format!("{lo}+:{n}"));
-            } else if lo == hi {
-                out.push_str(&format!("{lo}:{n}"));
-            } else {
-                out.push_str(&format!("{lo}-{hi}:{n}"));
-            }
-        }
-        if out.is_empty() {
-            out.push_str("(empty)");
-        }
-        out
-    }
-
-    /// Render the fleet's bay states: `N bays all-healthy` when nothing
-    /// is wrong, else `0:healthy 1:rebuilding 2:absent ...`.
-    pub fn health_display(&self) -> String {
-        if self.health.iter().all(|&h| h == DiskHealth::Healthy) {
-            return format!("{} bays all-healthy", self.health.len());
-        }
-        self.health
-            .iter()
-            .enumerate()
-            .map(|(i, h)| format!("{i}:{h}"))
-            .collect::<Vec<_>>()
-            .join(" ")
-    }
 }
 
 /// One file: immutable identity plus locked mutable state.
@@ -874,8 +822,7 @@ impl ConcurrentFs {
     /// write's durable-intent record. This is the `mif-server` entry
     /// point: the service layer stages many client writes, then gates the
     /// whole batch's acks on one [`wal_commit`] of the highest seqno —
-    /// ack-implies-durable at group-commit cost. Under
-    /// `group_commit = false` the record is already durable on return.
+    /// ack-implies-durable at group-commit cost.
     ///
     /// [`wal_commit`]: ConcurrentFs::wal_commit
     pub fn try_write_journaled(
@@ -887,33 +834,12 @@ impl ConcurrentFs {
     ) -> Result<u64, (usize, IoFault)> {
         assert!(len > 0, "zero-length write");
         self.contention.write_ops.fetch_add(1, Ordering::Relaxed);
-        if self.config.group_commit {
-            // Lock-free liveness check against the atomic mirror; only a
-            // hit (dead server — the cold path) touches a disk lock to
-            // fetch the fault counter.
-            for (i, shard) in self.shards.iter().enumerate() {
-                if shard.powered_off.load(Ordering::Acquire) {
-                    return Err((i, self.power_cut_fault(shard)));
-                }
-            }
-        } else {
-            // PR-5 baseline: sweep every shard's disk lock on every write.
-            for (i, shard) in self.shards.iter().enumerate() {
-                let _order = lockorder::acquire(LockClass::Disk);
-                self.contention.disk_locks.fetch_add(1, Ordering::Relaxed);
-                let disk = shard.disk.lock().unwrap();
-                if disk.powered_off() {
-                    let writes = disk
-                        .fault_stats()
-                        .map(|s| s.writes_seen)
-                        .unwrap_or_default();
-                    return Err((
-                        i,
-                        IoFault::PowerCut {
-                            after_writes: writes,
-                        },
-                    ));
-                }
+        // Lock-free liveness check against the atomic mirror; only a hit
+        // (dead server — the cold path) touches a disk lock to fetch the
+        // fault counter.
+        for (i, shard) in self.shards.iter().enumerate() {
+            if shard.powered_off.load(Ordering::Acquire) {
+                return Err((i, self.power_cut_fault(shard)));
             }
         }
         let slot = self.slot(file).expect("write to unknown file");
@@ -959,10 +885,8 @@ impl ConcurrentFs {
                 }
             }
         }
-        // Journal the write's durable intent. Staging is lock-free; under
-        // group commit the record rides the next merged flush (a sync
-        // acknowledges it), while the baseline pays one flush per record
-        // — exactly the PR-5 journalling cost.
+        // Journal the write's durable intent. Staging is lock-free; the
+        // record rides the next merged flush (a sync acknowledges it).
         let commit = WriteCommit {
             file: file.0 .0,
             stream: stream.as_u64(),
@@ -970,9 +894,6 @@ impl ConcurrentFs {
             len,
         };
         let seq = self.wal.append(|seq| encode_write_record(seq, &commit));
-        if !self.config.group_commit {
-            self.wal.commit(seq);
-        }
         if self.writeback_blocks.load(Ordering::Relaxed) >= self.config.writeback_limit_blocks {
             self.try_flush()?;
         }
@@ -1061,21 +982,17 @@ impl ConcurrentFs {
                     // CAS — no policy lock. Consumption and the claim
                     // counter go through the same shared window the policy
                     // sees, so its trigger decisions are unchanged.
-                    if self.config.group_commit {
-                        let window = match &reprimed {
-                            Some(fresh) => fresh.as_ref(),
-                            None => cached,
-                        };
-                        if let Some((phys, l)) =
-                            window.and_then(|w| w.claim(logical, end - logical))
-                        {
-                            self.contention
-                                .lockfree_claims
-                                .fetch_add(1, Ordering::Relaxed);
-                            tree.insert(Extent::new(logical, phys, l));
-                            logical += l;
-                            continue;
-                        }
+                    let window = match &reprimed {
+                        Some(fresh) => fresh.as_ref(),
+                        None => cached,
+                    };
+                    if let Some((phys, l)) = window.and_then(|w| w.claim(logical, end - logical)) {
+                        self.contention
+                            .lockfree_claims
+                            .fetch_add(1, Ordering::Relaxed);
+                        tree.insert(Extent::new(logical, phys, l));
+                        logical += l;
+                        continue;
                     }
                     // Slow path: the policy reserves fresh windows under
                     // its mutex; re-prime the cache with the new current
@@ -1288,8 +1205,7 @@ impl ConcurrentFs {
     fn try_flush(&self) -> Result<(), (usize, IoFault)> {
         // Journal before data: every staged intent record becomes durable
         // in (at most) one merged flush before the write-back batches go
-        // out. This is the group-commit coalescing point — under the
-        // baseline each record already paid its own flush at append time.
+        // out. This is the group-commit coalescing point.
         self.wal.commit_all();
         self.allocate_delayed();
         self.writeback_blocks.store(0, Ordering::Relaxed);
@@ -1788,14 +1704,6 @@ impl ConcurrentFs {
         self.tier.read().unwrap().clone()
     }
 
-    /// Run `f` with exclusive access to the tier map (artifact
-    /// registration from the maintenance pass / tests). Must be called
-    /// with no engine lock of rank ≥ [`LockClass::Tier`] held.
-    pub fn with_tier_mut<R>(&self, f: impl FnOnce(&mut TierMap) -> R) -> R {
-        let _order = lockorder::acquire(LockClass::Tier);
-        f(&mut self.tier.write().unwrap())
-    }
-
     // ----- WAL surface (the mif-server ack gate) --------------------------
 
     /// Block until the data-path WAL record `seqno` is durable (the record
@@ -1812,8 +1720,7 @@ impl ConcurrentFs {
         self.wal.durable_watermark()
     }
 
-    /// Arm a deterministic crash on a future merged WAL flush (tests and
-    /// the `service_scaling` power-cut scenario).
+    /// Arm a deterministic crash on a future merged WAL flush (tests).
     pub fn wal_set_fault(&self, plan: mif_mds::FlushFaultPlan) {
         self.wal.set_fault(plan);
     }
@@ -1909,8 +1816,7 @@ impl ConcurrentFs {
         }
     }
 
-    /// Contention counters since construction (lock-free snapshot; the
-    /// `BENCH 6` reduced-contention evidence).
+    /// Contention counters since construction (lock-free snapshot).
     fn contention_snapshot(&self) -> ContentionSnapshot {
         let wal = self.wal.stats();
         ContentionSnapshot {
@@ -2064,136 +1970,122 @@ mod tests {
         assert_eq!(engine.file_allocated(file), 4 * 128);
     }
 
-    /// Same workload, group commit on vs off: per-op disk-lock
-    /// acquisitions and per-op WAL flushes must drop by at least 4x —
-    /// the single-core proof that the serialization points are gone.
+    /// A healthy write takes no disk lock and pays no flush of its own:
+    /// disk locks are the write-back batches', WAL flushes follow the
+    /// syncs, and most on-demand allocations are lock-free claims.
     #[test]
-    fn group_commit_cuts_contention_at_least_4x() {
-        let run = |group_commit: bool| {
-            let mut config = FsConfig::with_policy(PolicyKind::OnDemand, 4);
-            config.group_commit = group_commit;
-            let fs = Arc::new(ConcurrentFs::new(config));
-            let files: Vec<OpenFile> = (0..4).map(|i| fs.create(&format!("f{i}"), None)).collect();
-            std::thread::scope(|s| {
-                for (t, &file) in files.iter().enumerate() {
-                    let fs = Arc::clone(&fs);
-                    s.spawn(move || {
-                        let stream = StreamId::new(t as u32, 0);
-                        for i in 0..256u64 {
-                            fs.write(file, stream, i * 4, 4);
-                            if i % 64 == 63 {
-                                fs.sync();
-                            }
+    fn healthy_writes_take_no_disk_lock_and_flush_once_per_sync() {
+        let fs = Arc::new(ConcurrentFs::new(FsConfig::with_policy(
+            PolicyKind::OnDemand,
+            4,
+        )));
+        let files: Vec<OpenFile> = (0..4).map(|i| fs.create(&format!("f{i}"), None)).collect();
+        std::thread::scope(|s| {
+            for (t, &file) in files.iter().enumerate() {
+                let fs = Arc::clone(&fs);
+                s.spawn(move || {
+                    let stream = StreamId::new(t as u32, 0);
+                    for i in 0..256u64 {
+                        fs.write(file, stream, i * 4, 4);
+                        if i % 64 == 63 {
+                            fs.sync();
                         }
-                    });
-                }
-            });
-            fs.sync();
-            fs.stats().contention
-        };
-        let baseline = run(false);
-        let fast = run(true);
-        assert_eq!(baseline.write_ops, fast.write_ops);
-        // Each baseline record commits individually; only a commit racing
-        // another thread's in-flight flush gets covered for free, so
-        // flushes track records almost 1:1.
+                    }
+                });
+            }
+        });
+        fs.sync();
+        let c = fs.stats().contention;
+        assert_eq!(c.write_ops, 1024);
+        assert_eq!(c.wal_records, c.write_ops);
+        assert_eq!(c.disk_lock_acquisitions, c.writeback_batches);
+        // 4 threads x 4 syncs + the final one; a sync with nothing staged
+        // flushes nothing.
+        assert!(c.wal_flushes <= 17, "{} flushes", c.wal_flushes);
         assert!(
-            baseline.wal_flushes * 10 >= baseline.wal_records * 9,
-            "baseline pays ~one flush per record ({} flushes / {} records)",
-            baseline.wal_flushes,
-            baseline.wal_records
-        );
-        let ops = fast.write_ops as f64;
-        let lock_ratio = (baseline.disk_lock_acquisitions as f64 / ops)
-            / (fast.disk_lock_acquisitions as f64 / ops);
-        let flush_ratio = (baseline.wal_flushes as f64 / ops) / (fast.wal_flushes as f64 / ops);
-        assert!(
-            lock_ratio >= 4.0,
-            "disk-lock acquisitions/op must drop >= 4x (got {lock_ratio:.1}x)"
-        );
-        assert!(
-            flush_ratio >= 4.0,
-            "WAL flushes/op must drop >= 4x (got {flush_ratio:.1}x)"
-        );
-        assert!(
-            fast.lockfree_window_claims > fast.locked_policy_extends,
+            c.lockfree_window_claims > c.locked_policy_extends,
             "most on-demand allocations should be lock-free claims"
         );
     }
 
-    /// The lock-free fast paths must not change what gets allocated:
-    /// identical workload, identical layout, either setting.
+    /// The lock-free claim path places every block where `policy.extend`
+    /// under the serial engine does: one thread, the same write sequence,
+    /// the same extents column for column and the same free space. With
+    /// `reopen`, the last close in between drops the cached window handles
+    /// (one `Arc` per column and stream otherwise lives as long as the
+    /// file) and the second round still allocates alike.
     #[test]
-    fn group_commit_flag_does_not_change_allocation() {
+    fn single_thread_front_end_places_blocks_where_the_serial_engine_does() {
+        let writes = |round: u64| {
+            (0..64u32).flat_map(move |s| {
+                let base = s as u64 * 4096 + round * 32;
+                (0..8u64).map(move |i| (StreamId::new(s, 0), base + i * 4))
+            })
+        };
         for policy in [
             PolicyKind::Vanilla,
             PolicyKind::Reservation,
             PolicyKind::OnDemand,
         ] {
-            let run = |group_commit: bool| {
-                let mut config = cfg(policy);
-                config.group_commit = group_commit;
-                let fs = ConcurrentFs::new(config);
-                let a = fs.create("a", None);
-                let b = fs.create("b", None);
-                for i in 0..64u64 {
-                    fs.write(a, StreamId::new(1, 0), i * 4, 4);
-                    fs.write(b, StreamId::new(2, 0), i * 8, 8);
-                }
-                fs.sync();
-                fs.close(a);
-                fs.close(b);
-                let m = fs.metrics();
-                (m.extents, m.blocks)
-            };
-            assert_eq!(run(true), run(false), "{policy}");
-        }
-    }
-
-    /// The last close drops the cached window handles (one `Arc` per
-    /// column and stream otherwise lives as long as the file), and a
-    /// writer after a reopen allocates exactly as a run that never claims
-    /// from the cache does.
-    #[test]
-    fn last_close_empties_the_window_cache() {
-        let run = |group_commit: bool| {
-            let mut config = cfg(PolicyKind::OnDemand);
-            config.group_commit = group_commit;
-            let fs = ConcurrentFs::new(config);
-            let file = fs.create("shared", None);
-            let cached = |fs: &ConcurrentFs| {
-                fs.with_inner(file, |inner| {
-                    inner.windows.iter().map(|m| m.len()).sum::<usize>()
-                })
-                .unwrap()
-            };
-            let write_round = |round: u64| {
-                for s in 0..64u32 {
-                    let base = s as u64 * 4096 + round * 32;
-                    for i in 0..8u64 {
-                        fs.write(file, StreamId::new(s, 0), base + i * 4, 4);
+            for reopen in [false, true] {
+                let fs = ConcurrentFs::new(cfg(policy));
+                let mut file = fs.create("shared", None);
+                let cached = |file| {
+                    fs.with_inner(file, |inner| {
+                        inner.windows.iter().map(|m| m.len()).sum::<usize>()
+                    })
+                    .unwrap()
+                };
+                let mut serial = FileSystem::new(cfg(policy));
+                let serial_file = serial.create("shared", None);
+                assert_eq!(serial_file, file);
+                for round in 0..2 {
+                    for (stream, offset) in writes(round) {
+                        fs.write(file, stream, offset, 4);
+                        serial.begin_round();
+                        serial.write(file, stream, offset, 4);
+                        serial.end_round();
+                    }
+                    if reopen && round == 0 {
+                        if policy == PolicyKind::OnDemand {
+                            assert!(cached(file) >= 64, "every stream primed a window");
+                        }
+                        fs.close(file);
+                        assert_eq!(cached(file), 0, "the last close prunes every column");
+                        file = fs.open("shared").expect("still in the namespace");
+                        serial.close(file);
+                        assert_eq!(serial.open("shared"), Some(file));
                     }
                 }
-            };
-            write_round(0);
-            assert!(cached(&fs) >= 64, "every stream primed a window");
-            fs.close(file);
-            assert_eq!(cached(&fs), 0, "the last close prunes every column");
-            let file = fs.open("shared").expect("still in the namespace");
-            write_round(1);
-            fs.sync();
-            let extents = fs
-                .with_inner(file, |inner| {
-                    inner
-                        .trees
-                        .iter()
-                        .map(|t| t.extents().copied().collect::<Vec<Extent>>())
-                        .collect::<Vec<_>>()
-                })
-                .unwrap();
-            (extents, fs.free_blocks())
-        };
-        assert_eq!(run(true), run(false));
+                fs.sync();
+                serial.sync_data();
+                let columns = fs
+                    .with_inner(file, |inner| {
+                        inner
+                            .trees
+                            .iter()
+                            .map(|t| {
+                                t.extents()
+                                    .map(|e| (e.logical, e.physical, e.len))
+                                    .collect::<Vec<_>>()
+                            })
+                            .collect::<Vec<_>>()
+                    })
+                    .unwrap();
+                for (col, extents) in columns.iter().enumerate() {
+                    assert_eq!(
+                        *extents,
+                        serial.physical_layout(file, col),
+                        "{policy} reopen={reopen} column {col}"
+                    );
+                }
+                assert_eq!(
+                    fs.free_blocks(),
+                    serial.free_blocks(),
+                    "{policy} reopen={reopen}"
+                );
+            }
+        }
     }
 
     /// Every write op journals exactly one durable-intent record, and the

@@ -43,12 +43,6 @@ pub struct FsConfig {
     /// CPU cost charged to the MDS per extent handled (merge + index), in
     /// nanoseconds — the Table I CPU-utilization proxy.
     pub mds_cpu_ns_per_extent: u64,
-    /// Group-commit the concurrent front-end's data-path WAL and take the
-    /// lock-free hot paths (powered-off mirror, window claims). `false`
-    /// restores the PR-5 behaviour — one journal flush per record and a
-    /// per-op disk-lock sweep — as the measurable contention baseline for
-    /// `BENCH 6`. The serial engine ignores this flag.
-    pub group_commit: bool,
     /// Staging-slab capacity of the group-commit WAL, in records. Small
     /// slabs exercise backpressure (appenders park and drain); the default
     /// comfortably covers a sync interval of writes from many threads.
@@ -86,7 +80,6 @@ impl Default for FsConfig {
             writeback_limit_blocks: 16384,
             mds: MdsConfig::default(),
             mds_cpu_ns_per_extent: 50_000,
-            group_commit: true,
             wal_slab_records: 1024,
             mds_shards: 1,
         }

@@ -1052,11 +1052,6 @@ impl FileSystem {
         self.array.stats_total()
     }
 
-    /// Aggregated per-command service-time histogram over the data disks.
-    pub fn data_latency(&self) -> mif_simdisk::LatencyHistogram {
-        self.array.latency_total()
-    }
-
     /// Enable blktrace-style command recording on every data disk.
     pub fn enable_disk_recording(&mut self, capacity: usize) {
         for i in 0..self.total_osts() {
@@ -1422,15 +1417,6 @@ impl FileSystem {
             logical += len;
         }
         lf
-    }
-
-    /// Fsck repair: forget the tier run of raw file id `file` at (`ost`,
-    /// `phys`) *without freeing its blocks* — used when a tier run loses
-    /// an ownership conflict (the winner keeps the blocks), or when its
-    /// blocks were never granted by the bitmap in the first place.
-    /// Returns whether a run was dropped (idempotent).
-    pub fn fsck_drop_tier_run(&mut self, file: u64, ost: usize, phys: u64) -> bool {
-        self.tier.remove_run(file, ost as u32, phys)
     }
 }
 

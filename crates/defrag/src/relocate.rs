@@ -22,7 +22,7 @@
 //! that harmless.
 
 use mif_core::{FileSystem, OpenFile};
-use mif_mds::{recover_remaps, RecoveryStop, RemapOp, RemapTxn, RemapWal};
+use mif_mds::{RecoveryStop, RemapOp, RemapRecovery, RemapTxn, RemapWal};
 use mif_simdisk::{IoFault, Nanos};
 
 /// Where to inject a power cut inside one relocation. Every point of the
@@ -237,7 +237,7 @@ pub struct DefragRecovery {
 /// or leaked by an interrupted relocation.
 pub fn recover(fs: &mut FileSystem, image: &[u8]) -> DefragRecovery {
     fs.release_preallocations();
-    let scan = recover_remaps(image, 0);
+    let scan = RemapRecovery::scan(image, 0);
 
     let mut pending: Vec<RemapTxn> = Vec::new();
     let mut redone = 0usize;

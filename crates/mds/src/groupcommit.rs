@@ -73,7 +73,7 @@ pub struct FlushFaultPlan {
     pub zero_fill: bool,
 }
 
-/// Counters snapshot for the contention report (`BENCH 6`).
+/// Counters snapshot for the contention report.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct GroupCommitStats {
     /// Records appended (== reservations that succeeded).

@@ -81,8 +81,8 @@ pub use shard::{
 };
 pub use store::{DataArea, OpEffect, ReadSet};
 pub use wal::{
-    encode_write_record, recover_remaps, recover_shard, recover_tier, recover_writes, Recovery,
-    RecoveryStop, RemapOp, RemapRecovery, RemapTxn, RemapWal, ShardNsOp, ShardOp, ShardRecord,
-    ShardRecovery, ShardWal, TierKind, TierOp, TierRecovery, TierTxn, TierWal, WalWriter,
-    WriteCommit, WriteRecovery, XsTxn, WAL_RECORD_BYTES,
+    encode_write_record, recover_writes, Recovered, Recovery, RecoveryStop, RemapOp, RemapRecovery,
+    RemapTxn, RemapWal, ShardNsOp, ShardOp, ShardRecord, ShardRecovery, ShardWal, TierKind, TierOp,
+    TierRecovery, TierTxn, TierWal, Wal, WalRecord, WalWriter, WriteCommit, WriteRecovery, XsTxn,
+    WAL_RECORD_BYTES,
 };

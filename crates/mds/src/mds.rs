@@ -488,13 +488,18 @@ impl Mds {
         self.apply(eff);
     }
 
-    /// Names of a directory's entries (no I/O — drives unaggregated
-    /// client loops in benches).
+    /// Names of a directory's entries, in name order (no I/O — drives
+    /// unaggregated client loops in benches). Sorted because the stores
+    /// keep entries in a randomly seeded `HashMap`, and a caller that
+    /// visits the names in the order given must see the same order on
+    /// every run.
     pub fn entry_names(&self, dir: InodeNo) -> Vec<String> {
-        match &self.store {
+        let mut names = match &self.store {
             Store::Normal(s) => s.entry_names(dir),
             Store::Embedded(s) => s.entry_names(dir),
-        }
+        };
+        names.sort_unstable();
+        names
     }
 
     /// Rename; returns the file's (possibly new) inode number.
@@ -636,15 +641,6 @@ impl Mds {
             _ => None,
         }
     }
-
-    /// Mutable access to the normal store together with the data area
-    /// (normal/htree modes), for fsck corruption injection and repair.
-    pub fn normal_mut(&mut self) -> Option<(&mut NormalStore, &mut DataArea)> {
-        match &mut self.store {
-            Store::Normal(s) => Some((s, &mut self.data)),
-            _ => None,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -663,6 +659,27 @@ mod tests {
         assert!(m.elapsed_ns() > 0);
         assert_eq!(m.journal_records(), 1);
         assert_eq!(m.op_stats().creates, 1);
+    }
+
+    /// Two servers built by the same creates list a directory alike and
+    /// in name order — not in `HashMap` iteration order, which differs
+    /// between two maps of one process.
+    #[test]
+    fn entry_names_are_sorted_and_reproducible() {
+        for mode in [DirMode::Normal, DirMode::Embedded] {
+            let build = || {
+                let mut m = mds(mode);
+                let dir = m.mkdir(ROOT_INO, "d");
+                for i in 0..200u32 {
+                    m.create(dir, &format!("f{:03}", i * 7919 % 200), 1);
+                }
+                m.entry_names(dir)
+            };
+            let names = build();
+            assert_eq!(names, build(), "{mode:?}");
+            let sorted: Vec<String> = (0..200).map(|i| format!("f{i:03}")).collect();
+            assert_eq!(names, sorted, "{mode:?}");
+        }
     }
 
     #[test]

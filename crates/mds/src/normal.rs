@@ -19,7 +19,6 @@ use std::collections::HashMap;
 struct Inode {
     group: u64,
     index: u64,
-    extents: u32,
     /// Indirect/extent-index blocks for mappings beyond the inode body.
     map_blocks: Vec<u64>,
 }
@@ -97,7 +96,6 @@ impl NormalStore {
             Inode {
                 group: 0,
                 index: root_index,
-                extents: 0,
                 map_blocks: Vec::new(),
             },
         );
@@ -245,7 +243,6 @@ impl NormalStore {
             Inode {
                 group,
                 index,
-                extents,
                 map_blocks,
             },
         );
@@ -302,7 +299,6 @@ impl NormalStore {
             Inode {
                 group,
                 index,
-                extents: 0,
                 map_blocks: Vec::new(),
             },
         );
@@ -499,11 +495,6 @@ impl NormalStore {
     /// Dirent blocks of a directory (test/diagnostic).
     pub fn dir_blocks(&self, dir: InodeNo) -> usize {
         self.dirs.get(&dir).map(|d| d.blocks.len()).unwrap_or(0)
-    }
-
-    /// The inode's extent count (test/diagnostic).
-    pub fn extents_of(&self, ino: InodeNo) -> Option<u32> {
-        self.inodes.get(&ino).map(|i| i.extents)
     }
 }
 

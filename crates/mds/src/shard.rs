@@ -30,7 +30,7 @@
 use crate::dirtable::ShardMap;
 use crate::ids::{InodeNo, ROOT_INO};
 use crate::mds::{DirMode, Mds, MdsConfig};
-use crate::wal::{recover_shard, ShardNsOp, ShardOp, ShardRecord, ShardWal, XsTxn};
+use crate::wal::{ShardNsOp, ShardOp, ShardRecord, ShardRecovery, ShardWal, XsTxn};
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
@@ -432,10 +432,6 @@ impl ShardedMds {
         self.seats[shard].heads.load(dir)
     }
 
-    pub fn dir_count(&self) -> usize {
-        self.dirs.len()
-    }
-
     /// Global directory id registered under `name`.
     pub fn dir_id(&self, name: &str) -> Option<u32> {
         self.by_name.get(name).copied()
@@ -443,10 +439,6 @@ impl ShardedMds {
 
     pub fn dir_home(&self, dir: u32) -> u32 {
         self.dirs[dir as usize].home
-    }
-
-    pub fn dir_striped(&self, dir: u32) -> bool {
-        self.dirs[dir as usize].striped
     }
 
     /// The shard whose store holds (or would hold) entry `name` of
@@ -969,8 +961,8 @@ impl ShardedMds {
         let mut merged: Vec<(u32, ShardRecord)> = Vec::new();
         for (shard, image) in images.iter().enumerate() {
             merged.extend(
-                recover_shard(image, 0)
-                    .records
+                ShardRecovery::scan(image, 0)
+                    .ops
                     .into_iter()
                     .map(|r| (shard as u32, r)),
             );
@@ -1371,7 +1363,7 @@ impl ShardedMds {
             *e = (*e).max(g);
         };
         for (s, image) in images.iter().enumerate() {
-            for rec in recover_shard(image, 0).records {
+            for rec in ShardRecovery::scan(image, 0).ops {
                 match &rec.op {
                     ShardOp::XsCas { dir, new, .. } => {
                         let e = max_cas.entry((s as u32, *dir)).or_insert(0);

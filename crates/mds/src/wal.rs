@@ -9,13 +9,20 @@
 //! a bad magic (unwritten tail), bad checksum (torn write), or unexpected
 //! sequence number (stale data from a previous lap) ends the scan.
 //!
-//! Torn writes are first-class: [`WalWriter::append_torn`] persists only a
+//! Five record families share the framing — namespace ops ([`LoggedOp`]),
+//! defrag remaps ([`RemapOp`]), tier placements ([`TierOp`]), data-path
+//! write commits ([`WriteCommit`]) and sharded-namespace records
+//! ([`ShardRecord`]). Each implements [`WalRecord`], its payload codec;
+//! one [`Wal`] writes them and one [`Recovered::scan`] reads them back.
+//!
+//! Torn writes are first-class: [`Wal::append_torn`] persists only a
 //! prefix of the record's bytes, exactly what a power cut mid-sector-run
-//! leaves behind, and [`recover`] must (and does) reject the damaged
-//! record while keeping everything before it.
+//! leaves behind, and the scan must (and does) reject the damaged record
+//! while keeping everything before it.
 
 use crate::mds::{DirMode, Mds};
 use crate::replay::{LoggedOp, OpLog};
+use std::marker::PhantomData;
 
 /// Bytes per WAL record — matches [`crate::journal::RECORD_BYTES`].
 pub const WAL_RECORD_BYTES: usize = 128;
@@ -91,6 +98,15 @@ fn frame_record(seqno: u64, tag: u8, payload: &[u8]) -> [u8; WAL_RECORD_BYTES] {
     rec
 }
 
+/// One record family's payload codec. `decode` sees only payloads whose
+/// frame passed the magic, checksum and seqno checks; it rejects foreign
+/// tags and trailing bytes.
+pub trait WalRecord: Sized {
+    /// Encode as one checksummed record carrying `seqno`.
+    fn encode(&self, seqno: u64) -> [u8; WAL_RECORD_BYTES];
+    fn decode(tag: u8, payload: &[u8]) -> Option<Self>;
+}
+
 fn push_name(buf: &mut Vec<u8>, name: &str) {
     assert!(
         name.len() <= u8::MAX as usize,
@@ -120,89 +136,85 @@ fn read_u32(buf: &[u8], pos: &mut usize) -> Option<u32> {
     Some(u32::from_le_bytes(bytes.try_into().ok()?))
 }
 
-fn encode_payload(op: &LoggedOp) -> (u8, Vec<u8>) {
-    let mut buf = Vec::new();
-    let tag = match op {
-        LoggedOp::Mkdir { parent, name } => {
-            buf.extend_from_slice(&parent.0.to_le_bytes());
-            push_name(&mut buf, name);
-            TAG_MKDIR
-        }
-        LoggedOp::Create {
-            parent,
-            name,
-            extents,
-        } => {
-            buf.extend_from_slice(&parent.0.to_le_bytes());
-            buf.extend_from_slice(&extents.to_le_bytes());
-            push_name(&mut buf, name);
-            TAG_CREATE
-        }
-        LoggedOp::Utime { parent, name } => {
-            buf.extend_from_slice(&parent.0.to_le_bytes());
-            push_name(&mut buf, name);
-            TAG_UTIME
-        }
-        LoggedOp::Unlink { parent, name } => {
-            buf.extend_from_slice(&parent.0.to_le_bytes());
-            push_name(&mut buf, name);
-            TAG_UNLINK
-        }
-        LoggedOp::Rename {
-            src,
-            name,
-            dst,
-            new_name,
-        } => {
-            buf.extend_from_slice(&src.0.to_le_bytes());
-            buf.extend_from_slice(&dst.0.to_le_bytes());
-            push_name(&mut buf, name);
-            push_name(&mut buf, new_name);
-            TAG_RENAME
-        }
-    };
-    (tag, buf)
-}
-
-fn decode_payload(tag: u8, payload: &[u8]) -> Option<LoggedOp> {
-    use crate::ids::InodeNo;
-    let mut pos = 0usize;
-    let op = match tag {
-        TAG_MKDIR => LoggedOp::Mkdir {
-            parent: InodeNo(read_u64(payload, &mut pos)?),
-            name: read_name(payload, &mut pos)?,
-        },
-        TAG_CREATE => LoggedOp::Create {
-            parent: InodeNo(read_u64(payload, &mut pos)?),
-            extents: read_u32(payload, &mut pos)?,
-            name: read_name(payload, &mut pos)?,
-        },
-        TAG_UTIME => LoggedOp::Utime {
-            parent: InodeNo(read_u64(payload, &mut pos)?),
-            name: read_name(payload, &mut pos)?,
-        },
-        TAG_UNLINK => LoggedOp::Unlink {
-            parent: InodeNo(read_u64(payload, &mut pos)?),
-            name: read_name(payload, &mut pos)?,
-        },
-        TAG_RENAME => LoggedOp::Rename {
-            src: InodeNo(read_u64(payload, &mut pos)?),
-            dst: InodeNo(read_u64(payload, &mut pos)?),
-            name: read_name(payload, &mut pos)?,
-            new_name: read_name(payload, &mut pos)?,
-        },
-        _ => return None,
-    };
-    if pos != payload.len() {
-        return None; // trailing garbage inside the declared payload
+impl WalRecord for LoggedOp {
+    fn encode(&self, seqno: u64) -> [u8; WAL_RECORD_BYTES] {
+        let mut buf = Vec::new();
+        let tag = match self {
+            LoggedOp::Mkdir { parent, name } => {
+                buf.extend_from_slice(&parent.0.to_le_bytes());
+                push_name(&mut buf, name);
+                TAG_MKDIR
+            }
+            LoggedOp::Create {
+                parent,
+                name,
+                extents,
+            } => {
+                buf.extend_from_slice(&parent.0.to_le_bytes());
+                buf.extend_from_slice(&extents.to_le_bytes());
+                push_name(&mut buf, name);
+                TAG_CREATE
+            }
+            LoggedOp::Utime { parent, name } => {
+                buf.extend_from_slice(&parent.0.to_le_bytes());
+                push_name(&mut buf, name);
+                TAG_UTIME
+            }
+            LoggedOp::Unlink { parent, name } => {
+                buf.extend_from_slice(&parent.0.to_le_bytes());
+                push_name(&mut buf, name);
+                TAG_UNLINK
+            }
+            LoggedOp::Rename {
+                src,
+                name,
+                dst,
+                new_name,
+            } => {
+                buf.extend_from_slice(&src.0.to_le_bytes());
+                buf.extend_from_slice(&dst.0.to_le_bytes());
+                push_name(&mut buf, name);
+                push_name(&mut buf, new_name);
+                TAG_RENAME
+            }
+        };
+        frame_record(seqno, tag, &buf)
     }
-    Some(op)
-}
 
-/// Encode one operation as a checksummed record.
-pub fn encode_record(seqno: u64, op: &LoggedOp) -> [u8; WAL_RECORD_BYTES] {
-    let (tag, payload) = encode_payload(op);
-    frame_record(seqno, tag, &payload)
+    fn decode(tag: u8, payload: &[u8]) -> Option<Self> {
+        use crate::ids::InodeNo;
+        let mut pos = 0usize;
+        let op = match tag {
+            TAG_MKDIR => LoggedOp::Mkdir {
+                parent: InodeNo(read_u64(payload, &mut pos)?),
+                name: read_name(payload, &mut pos)?,
+            },
+            TAG_CREATE => LoggedOp::Create {
+                parent: InodeNo(read_u64(payload, &mut pos)?),
+                extents: read_u32(payload, &mut pos)?,
+                name: read_name(payload, &mut pos)?,
+            },
+            TAG_UTIME => LoggedOp::Utime {
+                parent: InodeNo(read_u64(payload, &mut pos)?),
+                name: read_name(payload, &mut pos)?,
+            },
+            TAG_UNLINK => LoggedOp::Unlink {
+                parent: InodeNo(read_u64(payload, &mut pos)?),
+                name: read_name(payload, &mut pos)?,
+            },
+            TAG_RENAME => LoggedOp::Rename {
+                src: InodeNo(read_u64(payload, &mut pos)?),
+                dst: InodeNo(read_u64(payload, &mut pos)?),
+                name: read_name(payload, &mut pos)?,
+                new_name: read_name(payload, &mut pos)?,
+            },
+            _ => return None,
+        };
+        if pos != payload.len() {
+            return None; // trailing garbage inside the declared payload
+        }
+        Some(op)
+    }
 }
 
 /// Why a recovery scan stopped.
@@ -224,13 +236,77 @@ pub enum RecoveryStop {
     BadPayload { at: u64 },
 }
 
-/// The result of scanning a WAL image.
+/// The result of scanning a WAL image of family `R`.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Recovery {
-    /// The longest clean prefix of operations, in commit order.
-    pub ops: Vec<LoggedOp>,
+pub struct Recovered<R> {
+    /// The longest clean prefix of records, in commit order.
+    pub ops: Vec<R>,
     /// Why the scan stopped.
     pub stop: RecoveryStop,
+}
+
+pub type Recovery = Recovered<LoggedOp>;
+pub type RemapRecovery = Recovered<RemapOp>;
+pub type TierRecovery = Recovered<TierOp>;
+pub type WriteRecovery = Recovered<WriteCommit>;
+/// One shard's stream in append order (merge-sort streams by `gseq` for
+/// the global order).
+pub type ShardRecovery = Recovered<ShardRecord>;
+
+impl<R: WalRecord> Recovered<R> {
+    /// Scan a WAL image and return the longest clean prefix of records:
+    /// accept them while the magic, the checksum over all 120 framed bytes
+    /// (padding included — what comes back from the media is not assumed
+    /// to be what was written), the seqno and `R::decode` of the tagged
+    /// payload all hold; report why the scan stopped. Because every record
+    /// carries its own checksum and seqno, a flush torn *inside* a merged
+    /// multi-record buffer recovers exactly the records persisted whole.
+    ///
+    /// `first_seqno` is the sequence number the first record must carry
+    /// (0 for a fresh log); each following record must increment it by one.
+    pub fn scan(image: &[u8], first_seqno: u64) -> Self {
+        let mut ops = Vec::new();
+        let mut at = 0u64;
+        let mut pos = 0usize;
+        let stop = loop {
+            if pos == image.len() {
+                break RecoveryStop::CleanEnd;
+            }
+            if image.len() - pos < WAL_RECORD_BYTES {
+                break RecoveryStop::TornTail { at };
+            }
+            let rec = &image[pos..pos + WAL_RECORD_BYTES];
+            if rec[0..4] != MAGIC.to_le_bytes() {
+                break RecoveryStop::BadMagic { at };
+            }
+            let sum = u64::from_le_bytes(rec[CHECKSUM_OFFSET..].try_into().expect("8 bytes"));
+            if fnv1a(&rec[..CHECKSUM_OFFSET]) != sum {
+                break RecoveryStop::BadChecksum { at };
+            }
+            let seqno = u64::from_le_bytes(rec[4..12].try_into().expect("8 bytes"));
+            let expected = first_seqno + at;
+            if seqno != expected {
+                break RecoveryStop::SeqnoMismatch {
+                    at,
+                    expected,
+                    found: seqno,
+                };
+            }
+            let len = u16::from_le_bytes(rec[13..15].try_into().expect("2 bytes")) as usize;
+            let op = if len <= MAX_PAYLOAD {
+                R::decode(rec[12], &rec[HEADER_BYTES..HEADER_BYTES + len])
+            } else {
+                None
+            };
+            match op {
+                Some(op) => ops.push(op),
+                None => break RecoveryStop::BadPayload { at },
+            }
+            at += 1;
+            pos += WAL_RECORD_BYTES;
+        };
+        Self { ops, stop }
+    }
 }
 
 impl Recovery {
@@ -244,83 +320,46 @@ impl Recovery {
     }
 }
 
-/// Scan a WAL image and return the longest clean prefix of operations.
-///
-/// `first_seqno` is the sequence number the first record must carry
-/// (0 for a fresh log); each following record must increment it by one.
+/// [`Recovered::scan`] of a namespace-op image.
 pub fn recover(image: &[u8], first_seqno: u64) -> Recovery {
-    let (ops, stop) = scan(image, first_seqno, decode_payload);
-    Recovery { ops, stop }
+    Recovered::scan(image, first_seqno)
 }
 
-/// The scan every record family's recovery runs: accept records while the
-/// magic, the checksum over all 120 framed bytes (padding included — what
-/// comes back from the media is not assumed to be what was written), the
-/// seqno and `decode` of the tagged payload all hold; report why it
-/// stopped.
-fn scan<T>(
-    image: &[u8],
-    first_seqno: u64,
-    decode: impl Fn(u8, &[u8]) -> Option<T>,
-) -> (Vec<T>, RecoveryStop) {
-    let mut ops = Vec::new();
-    let mut at = 0u64;
-    let mut pos = 0usize;
-    let stop = loop {
-        if pos == image.len() {
-            break RecoveryStop::CleanEnd;
-        }
-        if image.len() - pos < WAL_RECORD_BYTES {
-            break RecoveryStop::TornTail { at };
-        }
-        let rec = &image[pos..pos + WAL_RECORD_BYTES];
-        if rec[0..4] != MAGIC.to_le_bytes() {
-            break RecoveryStop::BadMagic { at };
-        }
-        let sum = u64::from_le_bytes(rec[CHECKSUM_OFFSET..].try_into().expect("8 bytes"));
-        if fnv1a(&rec[..CHECKSUM_OFFSET]) != sum {
-            break RecoveryStop::BadChecksum { at };
-        }
-        let seqno = u64::from_le_bytes(rec[4..12].try_into().expect("8 bytes"));
-        let expected = first_seqno + at;
-        if seqno != expected {
-            break RecoveryStop::SeqnoMismatch {
-                at,
-                expected,
-                found: seqno,
-            };
-        }
-        let len = u16::from_le_bytes(rec[13..15].try_into().expect("2 bytes")) as usize;
-        let op = if len <= MAX_PAYLOAD {
-            decode(rec[12], &rec[HEADER_BYTES..HEADER_BYTES + len])
-        } else {
-            None
-        };
-        match op {
-            Some(op) => ops.push(op),
-            None => break RecoveryStop::BadPayload { at },
-        }
-        at += 1;
-        pos += WAL_RECORD_BYTES;
-    };
-    (ops, stop)
-}
-
-/// An append-only WAL image under construction.
-#[derive(Debug, Clone, Default)]
-pub struct WalWriter {
+/// An append-only WAL image of family `R` under construction.
+#[derive(Debug, Clone)]
+pub struct Wal<R> {
     image: Vec<u8>,
     next_seqno: u64,
+    family: PhantomData<fn(&R)>,
 }
 
-impl WalWriter {
+/// The namespace-op log.
+pub type WalWriter = Wal<LoggedOp>;
+/// The defrag engine's log stream.
+pub type RemapWal = Wal<RemapOp>;
+/// The redundancy engine's log stream.
+pub type TierWal = Wal<TierOp>;
+/// One MDS shard's log stream.
+pub type ShardWal = Wal<ShardRecord>;
+
+impl<R> Default for Wal<R> {
+    fn default() -> Self {
+        Self {
+            image: Vec::new(),
+            next_seqno: 0,
+            family: PhantomData,
+        }
+    }
+}
+
+impl<R: WalRecord> Wal<R> {
     pub fn new() -> Self {
         Self::default()
     }
 
     /// Append one fully-persisted record.
-    pub fn append(&mut self, op: &LoggedOp) {
-        let rec = encode_record(self.next_seqno, op);
+    pub fn append(&mut self, op: &R) {
+        let rec = op.encode(self.next_seqno);
         self.image.extend_from_slice(&rec);
         self.next_seqno += 1;
     }
@@ -328,8 +367,8 @@ impl WalWriter {
     /// Append a *torn* record: only the first `persisted` bytes reach the
     /// image (the tail reads back as zeroes, like unwritten media).
     /// Clamped to a strict prefix so the record is always damaged.
-    pub fn append_torn(&mut self, op: &LoggedOp, persisted: usize) {
-        let rec = encode_record(self.next_seqno, op);
+    pub fn append_torn(&mut self, op: &R, persisted: usize) {
+        let rec = op.encode(self.next_seqno);
         let persisted = persisted.min(WAL_RECORD_BYTES - 1);
         self.image.extend_from_slice(&rec[..persisted]);
         self.image
@@ -405,116 +444,42 @@ impl RemapOp {
     }
 }
 
-fn encode_remap_payload(op: &RemapOp) -> (u8, Vec<u8>) {
-    let (tag, t) = match op {
-        RemapOp::Intent(t) => (TAG_REMAP_INTENT, t),
-        RemapOp::Commit(t) => (TAG_REMAP_COMMIT, t),
-    };
-    let mut buf = Vec::with_capacity(48);
-    buf.extend_from_slice(&t.file.to_le_bytes());
-    buf.extend_from_slice(&t.ost.to_le_bytes());
-    buf.extend_from_slice(&t.logical.to_le_bytes());
-    buf.extend_from_slice(&t.len.to_le_bytes());
-    buf.extend_from_slice(&t.dest.to_le_bytes());
-    buf.extend_from_slice(&t.total.to_le_bytes());
-    buf.extend_from_slice(&t.dst_ost.to_le_bytes());
-    (tag, buf)
-}
-
-fn decode_remap_payload(tag: u8, payload: &[u8]) -> Option<RemapOp> {
-    let mut pos = 0usize;
-    let txn = RemapTxn {
-        file: read_u64(payload, &mut pos)?,
-        ost: read_u32(payload, &mut pos)?,
-        logical: read_u64(payload, &mut pos)?,
-        len: read_u64(payload, &mut pos)?,
-        dest: read_u64(payload, &mut pos)?,
-        total: read_u64(payload, &mut pos)?,
-        dst_ost: read_u32(payload, &mut pos)?,
-    };
-    if pos != payload.len() {
-        return None;
-    }
-    match tag {
-        TAG_REMAP_INTENT => Some(RemapOp::Intent(txn)),
-        TAG_REMAP_COMMIT => Some(RemapOp::Commit(txn)),
-        _ => None,
-    }
-}
-
-/// Encode one remap record with the standard framing (magic, seqno,
-/// checksum — see [`encode_record`]).
-pub fn encode_remap_record(seqno: u64, op: &RemapOp) -> [u8; WAL_RECORD_BYTES] {
-    let (tag, payload) = encode_remap_payload(op);
-    frame_record(seqno, tag, &payload)
-}
-
-/// The result of scanning a remap WAL image.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RemapRecovery {
-    /// The longest clean prefix of remap records, in commit order.
-    pub ops: Vec<RemapOp>,
-    /// Why the scan stopped.
-    pub stop: RecoveryStop,
-}
-
-/// Scan a remap WAL image: same acceptance rules as [`recover`] (longest
-/// clean prefix; magic, checksum, seqno and payload all validated), but
-/// decoding the defrag record tags.
-pub fn recover_remaps(image: &[u8], first_seqno: u64) -> RemapRecovery {
-    let (ops, stop) = scan(image, first_seqno, decode_remap_payload);
-    RemapRecovery { ops, stop }
-}
-
-/// An append-only remap-WAL image under construction — the defrag engine's
-/// log stream. Mirrors [`WalWriter`], including first-class torn appends
-/// for crash injection.
-#[derive(Debug, Clone, Default)]
-pub struct RemapWal {
-    image: Vec<u8>,
-    next_seqno: u64,
-}
-
-impl RemapWal {
-    pub fn new() -> Self {
-        Self::default()
+impl WalRecord for RemapOp {
+    fn encode(&self, seqno: u64) -> [u8; WAL_RECORD_BYTES] {
+        let (tag, t) = match self {
+            RemapOp::Intent(t) => (TAG_REMAP_INTENT, t),
+            RemapOp::Commit(t) => (TAG_REMAP_COMMIT, t),
+        };
+        let mut buf = Vec::with_capacity(48);
+        buf.extend_from_slice(&t.file.to_le_bytes());
+        buf.extend_from_slice(&t.ost.to_le_bytes());
+        buf.extend_from_slice(&t.logical.to_le_bytes());
+        buf.extend_from_slice(&t.len.to_le_bytes());
+        buf.extend_from_slice(&t.dest.to_le_bytes());
+        buf.extend_from_slice(&t.total.to_le_bytes());
+        buf.extend_from_slice(&t.dst_ost.to_le_bytes());
+        frame_record(seqno, tag, &buf)
     }
 
-    /// Append one fully-persisted remap record.
-    pub fn append(&mut self, op: &RemapOp) {
-        let rec = encode_remap_record(self.next_seqno, op);
-        self.image.extend_from_slice(&rec);
-        self.next_seqno += 1;
-    }
-
-    /// Append a *torn* remap record: only the first `persisted` bytes reach
-    /// the image (clamped to a strict prefix, tail zero-filled).
-    pub fn append_torn(&mut self, op: &RemapOp, persisted: usize) {
-        let rec = encode_remap_record(self.next_seqno, op);
-        let persisted = persisted.min(WAL_RECORD_BYTES - 1);
-        self.image.extend_from_slice(&rec[..persisted]);
-        self.image
-            .extend(std::iter::repeat_n(0u8, WAL_RECORD_BYTES - persisted));
-        self.next_seqno += 1;
-    }
-
-    /// Records appended so far (torn ones included).
-    pub fn len(&self) -> u64 {
-        self.next_seqno
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.next_seqno == 0
-    }
-
-    /// The on-media bytes.
-    pub fn image(&self) -> &[u8] {
-        &self.image
-    }
-
-    /// Consume the writer, returning the image.
-    pub fn into_image(self) -> Vec<u8> {
-        self.image
+    fn decode(tag: u8, payload: &[u8]) -> Option<Self> {
+        let mut pos = 0usize;
+        let txn = RemapTxn {
+            file: read_u64(payload, &mut pos)?,
+            ost: read_u32(payload, &mut pos)?,
+            logical: read_u64(payload, &mut pos)?,
+            len: read_u64(payload, &mut pos)?,
+            dest: read_u64(payload, &mut pos)?,
+            total: read_u64(payload, &mut pos)?,
+            dst_ost: read_u32(payload, &mut pos)?,
+        };
+        if pos != payload.len() {
+            return None;
+        }
+        match tag {
+            TAG_REMAP_INTENT => Some(RemapOp::Intent(txn)),
+            TAG_REMAP_COMMIT => Some(RemapOp::Commit(txn)),
+            _ => None,
+        }
     }
 }
 
@@ -600,118 +565,44 @@ impl TierOp {
     }
 }
 
-fn encode_tier_payload(op: &TierOp) -> (u8, Vec<u8>) {
-    let (tag, t) = match op {
-        TierOp::Intent(t) => (TAG_TIER_INTENT, t),
-        TierOp::Commit(t) => (TAG_TIER_COMMIT, t),
-    };
-    let mut buf = Vec::with_capacity(41);
-    buf.push(t.kind as u8);
-    buf.extend_from_slice(&t.file.to_le_bytes());
-    buf.extend_from_slice(&t.src_ost.to_le_bytes());
-    buf.extend_from_slice(&t.logical.to_le_bytes());
-    buf.extend_from_slice(&t.len.to_le_bytes());
-    buf.extend_from_slice(&t.dst_ost.to_le_bytes());
-    buf.extend_from_slice(&t.dst_phys.to_le_bytes());
-    (tag, buf)
-}
-
-fn decode_tier_payload(tag: u8, payload: &[u8]) -> Option<TierOp> {
-    let mut pos = 0usize;
-    let kind = TierKind::from_u8(*payload.first()?)?;
-    pos += 1;
-    let txn = TierTxn {
-        kind,
-        file: read_u64(payload, &mut pos)?,
-        src_ost: read_u32(payload, &mut pos)?,
-        logical: read_u64(payload, &mut pos)?,
-        len: read_u64(payload, &mut pos)?,
-        dst_ost: read_u32(payload, &mut pos)?,
-        dst_phys: read_u64(payload, &mut pos)?,
-    };
-    if pos != payload.len() {
-        return None;
-    }
-    match tag {
-        TAG_TIER_INTENT => Some(TierOp::Intent(txn)),
-        TAG_TIER_COMMIT => Some(TierOp::Commit(txn)),
-        _ => None,
-    }
-}
-
-/// Encode one tier record with the standard framing (magic, seqno,
-/// checksum — see [`encode_record`]).
-pub fn encode_tier_record(seqno: u64, op: &TierOp) -> [u8; WAL_RECORD_BYTES] {
-    let (tag, payload) = encode_tier_payload(op);
-    frame_record(seqno, tag, &payload)
-}
-
-/// The result of scanning a tier WAL image.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TierRecovery {
-    /// The longest clean prefix of tier records, in commit order.
-    pub ops: Vec<TierOp>,
-    /// Why the scan stopped.
-    pub stop: RecoveryStop,
-}
-
-/// Scan a tier WAL image: same acceptance rules as [`recover`] (longest
-/// clean prefix; magic, checksum, seqno and payload all validated), but
-/// decoding the tier-redundancy record tags.
-pub fn recover_tier(image: &[u8], first_seqno: u64) -> TierRecovery {
-    let (ops, stop) = scan(image, first_seqno, decode_tier_payload);
-    TierRecovery { ops, stop }
-}
-
-/// An append-only tier-WAL image under construction — the redundancy
-/// engine's log stream. Mirrors [`RemapWal`], including first-class torn
-/// appends for crash injection.
-#[derive(Debug, Clone, Default)]
-pub struct TierWal {
-    image: Vec<u8>,
-    next_seqno: u64,
-}
-
-impl TierWal {
-    pub fn new() -> Self {
-        Self::default()
+impl WalRecord for TierOp {
+    fn encode(&self, seqno: u64) -> [u8; WAL_RECORD_BYTES] {
+        let (tag, t) = match self {
+            TierOp::Intent(t) => (TAG_TIER_INTENT, t),
+            TierOp::Commit(t) => (TAG_TIER_COMMIT, t),
+        };
+        let mut buf = Vec::with_capacity(41);
+        buf.push(t.kind as u8);
+        buf.extend_from_slice(&t.file.to_le_bytes());
+        buf.extend_from_slice(&t.src_ost.to_le_bytes());
+        buf.extend_from_slice(&t.logical.to_le_bytes());
+        buf.extend_from_slice(&t.len.to_le_bytes());
+        buf.extend_from_slice(&t.dst_ost.to_le_bytes());
+        buf.extend_from_slice(&t.dst_phys.to_le_bytes());
+        frame_record(seqno, tag, &buf)
     }
 
-    /// Append one fully-persisted tier record.
-    pub fn append(&mut self, op: &TierOp) {
-        let rec = encode_tier_record(self.next_seqno, op);
-        self.image.extend_from_slice(&rec);
-        self.next_seqno += 1;
-    }
-
-    /// Append a *torn* tier record: only the first `persisted` bytes reach
-    /// the image (clamped to a strict prefix, tail zero-filled).
-    pub fn append_torn(&mut self, op: &TierOp, persisted: usize) {
-        let rec = encode_tier_record(self.next_seqno, op);
-        let persisted = persisted.min(WAL_RECORD_BYTES - 1);
-        self.image.extend_from_slice(&rec[..persisted]);
-        self.image
-            .extend(std::iter::repeat_n(0u8, WAL_RECORD_BYTES - persisted));
-        self.next_seqno += 1;
-    }
-
-    /// Records appended so far (torn ones included).
-    pub fn len(&self) -> u64 {
-        self.next_seqno
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.next_seqno == 0
-    }
-
-    /// The on-media bytes.
-    pub fn image(&self) -> &[u8] {
-        &self.image
-    }
-
-    /// Consume the writer, returning the image.
-    pub fn into_image(self) -> Vec<u8> {
-        self.image
+    fn decode(tag: u8, payload: &[u8]) -> Option<Self> {
+        let mut pos = 0usize;
+        let kind = TierKind::from_u8(*payload.first()?)?;
+        pos += 1;
+        let txn = TierTxn {
+            kind,
+            file: read_u64(payload, &mut pos)?,
+            src_ost: read_u32(payload, &mut pos)?,
+            logical: read_u64(payload, &mut pos)?,
+            len: read_u64(payload, &mut pos)?,
+            dst_ost: read_u32(payload, &mut pos)?,
+            dst_phys: read_u64(payload, &mut pos)?,
+        };
+        if pos != payload.len() {
+            return None;
+        }
+        match tag {
+            TAG_TIER_INTENT => Some(TierOp::Intent(txn)),
+            TAG_TIER_COMMIT => Some(TierOp::Commit(txn)),
+            _ => None,
+        }
     }
 }
 
@@ -733,8 +624,9 @@ pub struct WriteCommit {
     pub len: u64,
 }
 
-/// Encode one write-commit record with the standard framing (magic,
-/// seqno, checksum — see [`encode_record`]).
+/// Encode one write-commit record with the standard framing. The
+/// `ConcurrentFs` write path calls this directly: the fixed 32-byte
+/// payload is built on the stack.
 pub fn encode_write_record(seqno: u64, w: &WriteCommit) -> [u8; WAL_RECORD_BYTES] {
     let mut payload = [0u8; 32];
     for (dst, field) in payload
@@ -746,38 +638,30 @@ pub fn encode_write_record(seqno: u64, w: &WriteCommit) -> [u8; WAL_RECORD_BYTES
     frame_record(seqno, TAG_WRITE_COMMIT, &payload)
 }
 
-fn decode_write_payload(tag: u8, payload: &[u8]) -> Option<WriteCommit> {
-    if tag != TAG_WRITE_COMMIT {
-        return None;
+impl WalRecord for WriteCommit {
+    fn encode(&self, seqno: u64) -> [u8; WAL_RECORD_BYTES] {
+        encode_write_record(seqno, self)
     }
-    let mut pos = 0usize;
-    let w = WriteCommit {
-        file: read_u64(payload, &mut pos)?,
-        stream: read_u64(payload, &mut pos)?,
-        offset: read_u64(payload, &mut pos)?,
-        len: read_u64(payload, &mut pos)?,
-    };
-    (pos == payload.len()).then_some(w)
+
+    fn decode(tag: u8, payload: &[u8]) -> Option<Self> {
+        if tag != TAG_WRITE_COMMIT {
+            return None;
+        }
+        let mut pos = 0usize;
+        let w = WriteCommit {
+            file: read_u64(payload, &mut pos)?,
+            stream: read_u64(payload, &mut pos)?,
+            offset: read_u64(payload, &mut pos)?,
+            len: read_u64(payload, &mut pos)?,
+        };
+        (pos == payload.len()).then_some(w)
+    }
 }
 
-/// The result of scanning a write-commit WAL image.
-#[derive(Debug, Clone, PartialEq)]
-pub struct WriteRecovery {
-    /// The longest clean prefix of write commits, in commit order.
-    pub ops: Vec<WriteCommit>,
-    /// Why the scan stopped.
-    pub stop: RecoveryStop,
-}
-
-/// Scan a write-commit WAL image: same acceptance rules as [`recover`]
-/// (longest clean prefix; magic, checksum, seqno and payload all
-/// validated), decoding the data-path record tag. Because every record
-/// carries its own checksum and seqno, a flush torn *inside* a merged
-/// multi-record buffer recovers exactly the records persisted whole —
-/// all-or-prefix per record, never a partial record.
+/// [`Recovered::scan`] of a write-commit image (the [`crate::GroupCommitWal`]
+/// stream).
 pub fn recover_writes(image: &[u8], first_seqno: u64) -> WriteRecovery {
-    let (ops, stop) = scan(image, first_seqno, decode_write_payload);
-    WriteRecovery { ops, stop }
+    Recovered::scan(image, first_seqno)
 }
 
 /// A same-shard namespace operation as journaled by one MDS shard.
@@ -878,210 +762,135 @@ pub struct ShardRecord {
     pub op: ShardOp,
 }
 
-fn encode_shard_payload(rec: &ShardRecord) -> (u8, Vec<u8>) {
-    let mut buf = Vec::with_capacity(64);
-    buf.extend_from_slice(&rec.gseq.to_le_bytes());
-    let tag = match &rec.op {
-        ShardOp::Ns(ShardNsOp::Mkdir { dir, striped, name }) => {
-            buf.extend_from_slice(&dir.to_le_bytes());
-            buf.push(*striped as u8);
-            push_name(&mut buf, name);
-            TAG_SHARD_MKDIR
-        }
-        ShardOp::Ns(ShardNsOp::Create { dir, extents, name }) => {
-            buf.extend_from_slice(&dir.to_le_bytes());
-            buf.extend_from_slice(&extents.to_le_bytes());
-            push_name(&mut buf, name);
-            TAG_SHARD_CREATE
-        }
-        ShardOp::Ns(ShardNsOp::Utime { dir, name }) => {
-            buf.extend_from_slice(&dir.to_le_bytes());
-            push_name(&mut buf, name);
-            TAG_SHARD_UTIME
-        }
-        ShardOp::Ns(ShardNsOp::Unlink { dir, name }) => {
-            buf.extend_from_slice(&dir.to_le_bytes());
-            push_name(&mut buf, name);
-            TAG_SHARD_UNLINK
-        }
-        ShardOp::Ns(ShardNsOp::Rename {
-            src,
-            dst,
-            name,
-            new_name,
-        }) => {
-            buf.extend_from_slice(&src.to_le_bytes());
-            buf.extend_from_slice(&dst.to_le_bytes());
-            push_name(&mut buf, name);
-            push_name(&mut buf, new_name);
-            TAG_SHARD_RENAME
-        }
-        ShardOp::XsIntent(t) => {
-            buf.extend_from_slice(&t.txn.to_le_bytes());
-            buf.extend_from_slice(&t.src_dir.to_le_bytes());
-            buf.extend_from_slice(&t.dst_dir.to_le_bytes());
-            buf.extend_from_slice(&t.src_shard.to_le_bytes());
-            buf.extend_from_slice(&t.dst_shard.to_le_bytes());
-            buf.extend_from_slice(&t.src_head.to_le_bytes());
-            buf.extend_from_slice(&t.dst_head.to_le_bytes());
-            push_name(&mut buf, &t.name);
-            push_name(&mut buf, &t.new_name);
-            TAG_XS_INTENT
-        }
-        ShardOp::XsCas { txn, dir, old, new } => {
-            buf.extend_from_slice(&txn.to_le_bytes());
-            buf.extend_from_slice(&dir.to_le_bytes());
-            buf.extend_from_slice(&old.to_le_bytes());
-            buf.extend_from_slice(&new.to_le_bytes());
-            TAG_XS_CAS
-        }
-        ShardOp::XsCommit { txn } => {
-            buf.extend_from_slice(&txn.to_le_bytes());
-            TAG_XS_COMMIT
-        }
-    };
-    (tag, buf)
-}
+impl WalRecord for ShardRecord {
+    fn encode(&self, seqno: u64) -> [u8; WAL_RECORD_BYTES] {
+        let mut buf = Vec::with_capacity(64);
+        buf.extend_from_slice(&self.gseq.to_le_bytes());
+        let tag = match &self.op {
+            ShardOp::Ns(ShardNsOp::Mkdir { dir, striped, name }) => {
+                buf.extend_from_slice(&dir.to_le_bytes());
+                buf.push(*striped as u8);
+                push_name(&mut buf, name);
+                TAG_SHARD_MKDIR
+            }
+            ShardOp::Ns(ShardNsOp::Create { dir, extents, name }) => {
+                buf.extend_from_slice(&dir.to_le_bytes());
+                buf.extend_from_slice(&extents.to_le_bytes());
+                push_name(&mut buf, name);
+                TAG_SHARD_CREATE
+            }
+            ShardOp::Ns(ShardNsOp::Utime { dir, name }) => {
+                buf.extend_from_slice(&dir.to_le_bytes());
+                push_name(&mut buf, name);
+                TAG_SHARD_UTIME
+            }
+            ShardOp::Ns(ShardNsOp::Unlink { dir, name }) => {
+                buf.extend_from_slice(&dir.to_le_bytes());
+                push_name(&mut buf, name);
+                TAG_SHARD_UNLINK
+            }
+            ShardOp::Ns(ShardNsOp::Rename {
+                src,
+                dst,
+                name,
+                new_name,
+            }) => {
+                buf.extend_from_slice(&src.to_le_bytes());
+                buf.extend_from_slice(&dst.to_le_bytes());
+                push_name(&mut buf, name);
+                push_name(&mut buf, new_name);
+                TAG_SHARD_RENAME
+            }
+            ShardOp::XsIntent(t) => {
+                buf.extend_from_slice(&t.txn.to_le_bytes());
+                buf.extend_from_slice(&t.src_dir.to_le_bytes());
+                buf.extend_from_slice(&t.dst_dir.to_le_bytes());
+                buf.extend_from_slice(&t.src_shard.to_le_bytes());
+                buf.extend_from_slice(&t.dst_shard.to_le_bytes());
+                buf.extend_from_slice(&t.src_head.to_le_bytes());
+                buf.extend_from_slice(&t.dst_head.to_le_bytes());
+                push_name(&mut buf, &t.name);
+                push_name(&mut buf, &t.new_name);
+                TAG_XS_INTENT
+            }
+            ShardOp::XsCas { txn, dir, old, new } => {
+                buf.extend_from_slice(&txn.to_le_bytes());
+                buf.extend_from_slice(&dir.to_le_bytes());
+                buf.extend_from_slice(&old.to_le_bytes());
+                buf.extend_from_slice(&new.to_le_bytes());
+                TAG_XS_CAS
+            }
+            ShardOp::XsCommit { txn } => {
+                buf.extend_from_slice(&txn.to_le_bytes());
+                TAG_XS_COMMIT
+            }
+        };
+        frame_record(seqno, tag, &buf)
+    }
 
-fn decode_shard_payload(tag: u8, payload: &[u8]) -> Option<ShardRecord> {
-    let mut pos = 0usize;
-    let gseq = read_u64(payload, &mut pos)?;
-    let op = match tag {
-        TAG_SHARD_MKDIR => {
-            let dir = read_u32(payload, &mut pos)?;
-            let striped = match *payload.get(pos)? {
-                0 => false,
-                1 => true,
-                _ => return None,
-            };
-            pos += 1;
-            ShardOp::Ns(ShardNsOp::Mkdir {
-                dir,
-                striped,
+    fn decode(tag: u8, payload: &[u8]) -> Option<Self> {
+        let mut pos = 0usize;
+        let gseq = read_u64(payload, &mut pos)?;
+        let op = match tag {
+            TAG_SHARD_MKDIR => {
+                let dir = read_u32(payload, &mut pos)?;
+                let striped = match *payload.get(pos)? {
+                    0 => false,
+                    1 => true,
+                    _ => return None,
+                };
+                pos += 1;
+                ShardOp::Ns(ShardNsOp::Mkdir {
+                    dir,
+                    striped,
+                    name: read_name(payload, &mut pos)?,
+                })
+            }
+            TAG_SHARD_CREATE => ShardOp::Ns(ShardNsOp::Create {
+                dir: read_u32(payload, &mut pos)?,
+                extents: read_u32(payload, &mut pos)?,
                 name: read_name(payload, &mut pos)?,
-            })
+            }),
+            TAG_SHARD_UTIME => ShardOp::Ns(ShardNsOp::Utime {
+                dir: read_u32(payload, &mut pos)?,
+                name: read_name(payload, &mut pos)?,
+            }),
+            TAG_SHARD_UNLINK => ShardOp::Ns(ShardNsOp::Unlink {
+                dir: read_u32(payload, &mut pos)?,
+                name: read_name(payload, &mut pos)?,
+            }),
+            TAG_SHARD_RENAME => ShardOp::Ns(ShardNsOp::Rename {
+                src: read_u32(payload, &mut pos)?,
+                dst: read_u32(payload, &mut pos)?,
+                name: read_name(payload, &mut pos)?,
+                new_name: read_name(payload, &mut pos)?,
+            }),
+            TAG_XS_INTENT => ShardOp::XsIntent(XsTxn {
+                txn: read_u64(payload, &mut pos)?,
+                src_dir: read_u32(payload, &mut pos)?,
+                dst_dir: read_u32(payload, &mut pos)?,
+                src_shard: read_u32(payload, &mut pos)?,
+                dst_shard: read_u32(payload, &mut pos)?,
+                src_head: read_u64(payload, &mut pos)?,
+                dst_head: read_u64(payload, &mut pos)?,
+                name: read_name(payload, &mut pos)?,
+                new_name: read_name(payload, &mut pos)?,
+            }),
+            TAG_XS_CAS => ShardOp::XsCas {
+                txn: read_u64(payload, &mut pos)?,
+                dir: read_u32(payload, &mut pos)?,
+                old: read_u64(payload, &mut pos)?,
+                new: read_u64(payload, &mut pos)?,
+            },
+            TAG_XS_COMMIT => ShardOp::XsCommit {
+                txn: read_u64(payload, &mut pos)?,
+            },
+            _ => return None,
+        };
+        if pos != payload.len() {
+            return None;
         }
-        TAG_SHARD_CREATE => ShardOp::Ns(ShardNsOp::Create {
-            dir: read_u32(payload, &mut pos)?,
-            extents: read_u32(payload, &mut pos)?,
-            name: read_name(payload, &mut pos)?,
-        }),
-        TAG_SHARD_UTIME => ShardOp::Ns(ShardNsOp::Utime {
-            dir: read_u32(payload, &mut pos)?,
-            name: read_name(payload, &mut pos)?,
-        }),
-        TAG_SHARD_UNLINK => ShardOp::Ns(ShardNsOp::Unlink {
-            dir: read_u32(payload, &mut pos)?,
-            name: read_name(payload, &mut pos)?,
-        }),
-        TAG_SHARD_RENAME => ShardOp::Ns(ShardNsOp::Rename {
-            src: read_u32(payload, &mut pos)?,
-            dst: read_u32(payload, &mut pos)?,
-            name: read_name(payload, &mut pos)?,
-            new_name: read_name(payload, &mut pos)?,
-        }),
-        TAG_XS_INTENT => ShardOp::XsIntent(XsTxn {
-            txn: read_u64(payload, &mut pos)?,
-            src_dir: read_u32(payload, &mut pos)?,
-            dst_dir: read_u32(payload, &mut pos)?,
-            src_shard: read_u32(payload, &mut pos)?,
-            dst_shard: read_u32(payload, &mut pos)?,
-            src_head: read_u64(payload, &mut pos)?,
-            dst_head: read_u64(payload, &mut pos)?,
-            name: read_name(payload, &mut pos)?,
-            new_name: read_name(payload, &mut pos)?,
-        }),
-        TAG_XS_CAS => ShardOp::XsCas {
-            txn: read_u64(payload, &mut pos)?,
-            dir: read_u32(payload, &mut pos)?,
-            old: read_u64(payload, &mut pos)?,
-            new: read_u64(payload, &mut pos)?,
-        },
-        TAG_XS_COMMIT => ShardOp::XsCommit {
-            txn: read_u64(payload, &mut pos)?,
-        },
-        _ => return None,
-    };
-    if pos != payload.len() {
-        return None;
-    }
-    Some(ShardRecord { gseq, op })
-}
-
-/// Encode one shard record with the standard framing (magic, seqno,
-/// checksum — see [`encode_record`]).
-pub fn encode_shard_record(seqno: u64, rec: &ShardRecord) -> [u8; WAL_RECORD_BYTES] {
-    let (tag, payload) = encode_shard_payload(rec);
-    frame_record(seqno, tag, &payload)
-}
-
-/// The result of scanning one shard's WAL image.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ShardRecovery {
-    /// The longest clean prefix of shard records, in this stream's
-    /// append order (merge-sort streams by `gseq` for the global order).
-    pub records: Vec<ShardRecord>,
-    /// Why the scan stopped.
-    pub stop: RecoveryStop,
-}
-
-/// Scan a shard WAL image: same acceptance rules as [`recover`] (longest
-/// clean prefix; magic, checksum, seqno and payload all validated), but
-/// decoding the sharded-namespace record tags.
-pub fn recover_shard(image: &[u8], first_seqno: u64) -> ShardRecovery {
-    let (records, stop) = scan(image, first_seqno, decode_shard_payload);
-    ShardRecovery { records, stop }
-}
-
-/// An append-only shard-WAL image under construction — one MDS shard's
-/// log stream. Mirrors [`RemapWal`], including first-class torn appends
-/// for crash injection.
-#[derive(Debug, Clone, Default)]
-pub struct ShardWal {
-    image: Vec<u8>,
-    next_seqno: u64,
-}
-
-impl ShardWal {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Append one fully-persisted shard record.
-    pub fn append(&mut self, rec: &ShardRecord) {
-        let bytes = encode_shard_record(self.next_seqno, rec);
-        self.image.extend_from_slice(&bytes);
-        self.next_seqno += 1;
-    }
-
-    /// Append a *torn* shard record: only the first `persisted` bytes
-    /// reach the image (clamped to a strict prefix, tail zero-filled).
-    pub fn append_torn(&mut self, rec: &ShardRecord, persisted: usize) {
-        let bytes = encode_shard_record(self.next_seqno, rec);
-        let persisted = persisted.min(WAL_RECORD_BYTES - 1);
-        self.image.extend_from_slice(&bytes[..persisted]);
-        self.image
-            .extend(std::iter::repeat_n(0u8, WAL_RECORD_BYTES - persisted));
-        self.next_seqno += 1;
-    }
-
-    /// Records appended so far (torn ones included).
-    pub fn len(&self) -> u64 {
-        self.next_seqno
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.next_seqno == 0
-    }
-
-    /// The on-media bytes.
-    pub fn image(&self) -> &[u8] {
-        &self.image
-    }
-
-    /// Consume the writer, returning the image.
-    pub fn into_image(self) -> Vec<u8> {
-        self.image
+        Some(ShardRecord { gseq, op })
     }
 }
 
@@ -1130,7 +939,7 @@ mod tests {
     #[test]
     fn every_op_round_trips() {
         for (i, op) in sample_ops().iter().enumerate() {
-            let rec = encode_record(i as u64, op);
+            let rec = op.encode(i as u64);
             let got = recover(&rec, i as u64);
             assert_eq!(got.ops, vec![op.clone()], "op {i}");
             assert_eq!(got.stop, RecoveryStop::CleanEnd);
@@ -1203,8 +1012,8 @@ mod tests {
         // replayed.
         let ops = sample_ops();
         let mut img = Vec::new();
-        img.extend_from_slice(&encode_record(7, &ops[0]));
-        img.extend_from_slice(&encode_record(3, &ops[1])); // stale
+        img.extend_from_slice(&ops[0].encode(7));
+        img.extend_from_slice(&ops[1].encode(3)); // stale
         let r = recover(&img, 7);
         assert_eq!(r.ops, ops[..1].to_vec());
         assert_eq!(
@@ -1245,7 +1054,7 @@ mod tests {
         let mut w = RemapWal::new();
         w.append(&RemapOp::Intent(sample_txn()));
         w.append(&RemapOp::Commit(sample_txn()));
-        let r = recover_remaps(w.image(), 0);
+        let r = RemapRecovery::scan(w.image(), 0);
         assert_eq!(
             r.ops,
             vec![RemapOp::Intent(sample_txn()), RemapOp::Commit(sample_txn())]
@@ -1259,7 +1068,7 @@ mod tests {
             let mut w = RemapWal::new();
             w.append(&RemapOp::Intent(sample_txn()));
             w.append_torn(&RemapOp::Commit(sample_txn()), persisted);
-            let r = recover_remaps(w.image(), 0);
+            let r = RemapRecovery::scan(w.image(), 0);
             assert_eq!(
                 r.ops,
                 vec![RemapOp::Intent(sample_txn())],
@@ -1281,12 +1090,12 @@ mod tests {
         // A metadata record in the remap stream stops the scan (BadPayload),
         // and a remap record in the metadata stream does the same: the two
         // log streams cannot silently replay each other's records.
-        let meta = encode_record(0, &sample_ops()[0]);
-        let r = recover_remaps(&meta, 0);
+        let meta = sample_ops()[0].encode(0);
+        let r = RemapRecovery::scan(&meta, 0);
         assert!(r.ops.is_empty());
         assert_eq!(r.stop, RecoveryStop::BadPayload { at: 0 });
 
-        let remap = encode_remap_record(0, &RemapOp::Intent(sample_txn()));
+        let remap = RemapOp::Intent(sample_txn()).encode(0);
         let r = recover(&remap, 0);
         assert!(r.ops.is_empty());
         assert_eq!(r.stop, RecoveryStop::BadPayload { at: 0 });
@@ -1295,9 +1104,9 @@ mod tests {
     #[test]
     fn stale_remap_lap_rejected_by_seqno() {
         let mut img = Vec::new();
-        img.extend_from_slice(&encode_remap_record(9, &RemapOp::Intent(sample_txn())));
-        img.extend_from_slice(&encode_remap_record(4, &RemapOp::Commit(sample_txn())));
-        let r = recover_remaps(&img, 9);
+        img.extend_from_slice(&RemapOp::Intent(sample_txn()).encode(9));
+        img.extend_from_slice(&RemapOp::Commit(sample_txn()).encode(4));
+        let r = RemapRecovery::scan(&img, 9);
         assert_eq!(r.ops.len(), 1);
         assert_eq!(
             r.stop,
@@ -1332,7 +1141,7 @@ mod tests {
             want.push(TierOp::Intent(t));
             want.push(TierOp::Commit(t));
         }
-        let r = recover_tier(w.image(), 0);
+        let r = TierRecovery::scan(w.image(), 0);
         assert_eq!(r.ops, want);
         assert_eq!(r.stop, RecoveryStop::CleanEnd);
     }
@@ -1346,7 +1155,7 @@ mod tests {
                 &TierOp::Commit(sample_tier_txn(TierKind::Replica)),
                 persisted,
             );
-            let r = recover_tier(w.image(), 0);
+            let r = TierRecovery::scan(w.image(), 0);
             assert_eq!(
                 r.ops,
                 vec![TierOp::Intent(sample_tier_txn(TierKind::Replica))],
@@ -1367,10 +1176,10 @@ mod tests {
     fn tier_scan_rejects_foreign_tags_and_vice_versa() {
         // The tier stream cannot replay metadata, remap, or write-commit
         // records, and none of those scans accepts a tier record.
-        let tier = encode_tier_record(0, &TierOp::Intent(sample_tier_txn(TierKind::Parity)));
+        let tier = TierOp::Intent(sample_tier_txn(TierKind::Parity)).encode(0);
         assert_eq!(recover(&tier, 0).stop, RecoveryStop::BadPayload { at: 0 });
         assert_eq!(
-            recover_remaps(&tier, 0).stop,
+            RemapRecovery::scan(&tier, 0).stop,
             RecoveryStop::BadPayload { at: 0 }
         );
         assert_eq!(
@@ -1379,11 +1188,11 @@ mod tests {
         );
 
         for foreign in [
-            encode_record(0, &sample_ops()[0]),
-            encode_remap_record(0, &RemapOp::Intent(sample_txn())),
+            sample_ops()[0].encode(0),
+            RemapOp::Intent(sample_txn()).encode(0),
             encode_write_record(0, &sample_write(0)),
         ] {
-            let r = recover_tier(&foreign, 0);
+            let r = TierRecovery::scan(&foreign, 0);
             assert!(r.ops.is_empty());
             assert_eq!(r.stop, RecoveryStop::BadPayload { at: 0 });
         }
@@ -1391,11 +1200,11 @@ mod tests {
 
     #[test]
     fn tier_bad_kind_byte_is_bad_payload() {
-        let mut rec = encode_tier_record(0, &TierOp::Commit(sample_tier_txn(TierKind::Drop)));
+        let mut rec = TierOp::Commit(sample_tier_txn(TierKind::Drop)).encode(0);
         rec[HEADER_BYTES] = 9; // no such TierKind
         let sum = fnv1a(&rec[..CHECKSUM_OFFSET]);
         rec[CHECKSUM_OFFSET..].copy_from_slice(&sum.to_le_bytes());
-        let r = recover_tier(&rec, 0);
+        let r = TierRecovery::scan(&rec, 0);
         assert!(r.ops.is_empty());
         assert_eq!(r.stop, RecoveryStop::BadPayload { at: 0 });
     }
@@ -1403,15 +1212,9 @@ mod tests {
     #[test]
     fn stale_tier_lap_rejected_by_seqno() {
         let mut img = Vec::new();
-        img.extend_from_slice(&encode_tier_record(
-            6,
-            &TierOp::Intent(sample_tier_txn(TierKind::Replica)),
-        ));
-        img.extend_from_slice(&encode_tier_record(
-            2,
-            &TierOp::Commit(sample_tier_txn(TierKind::Replica)),
-        ));
-        let r = recover_tier(&img, 6);
+        img.extend_from_slice(&TierOp::Intent(sample_tier_txn(TierKind::Replica)).encode(6));
+        img.extend_from_slice(&TierOp::Commit(sample_tier_txn(TierKind::Replica)).encode(2));
+        let r = TierRecovery::scan(&img, 6);
         assert_eq!(r.ops.len(), 1);
         assert_eq!(
             r.stop,
@@ -1464,7 +1267,7 @@ mod tests {
     fn write_scan_rejects_foreign_tags() {
         // The data-path stream cannot replay metadata or remap records, and
         // neither of those scans accepts a write-commit record.
-        let meta = encode_record(0, &sample_ops()[0]);
+        let meta = sample_ops()[0].encode(0);
         let r = recover_writes(&meta, 0);
         assert!(r.ops.is_empty());
         assert_eq!(r.stop, RecoveryStop::BadPayload { at: 0 });
@@ -1472,7 +1275,7 @@ mod tests {
         let w = encode_write_record(0, &sample_write(0));
         assert_eq!(recover(&w, 0).stop, RecoveryStop::BadPayload { at: 0 });
         assert_eq!(
-            recover_remaps(&w, 0).stop,
+            RemapRecovery::scan(&w, 0).stop,
             RecoveryStop::BadPayload { at: 0 }
         );
     }
@@ -1548,27 +1351,25 @@ mod tests {
         }
     }
 
+    /// Every family's encoder frames its payload as the byte-wise
+    /// reference does; the tag and payload are read back from the record
+    /// (the round-trip tests pin what they contain).
     #[test]
     fn encoders_produce_the_bytewise_framing() {
-        for (i, op) in sample_ops().iter().enumerate() {
-            let (tag, payload) = encode_payload(op);
-            assert_eq!(
-                encode_record(i as u64, op),
-                frame_record_bytewise(i as u64, tag, &payload)
-            );
-        }
-        let remap = RemapOp::Intent(sample_txn());
-        let (tag, payload) = encode_remap_payload(&remap);
-        assert_eq!(
-            encode_remap_record(7, &remap),
-            frame_record_bytewise(7, tag, &payload)
-        );
+        let mut records: Vec<(u64, [u8; WAL_RECORD_BYTES])> = sample_ops()
+            .iter()
+            .enumerate()
+            .map(|(i, op)| (i as u64, op.encode(i as u64)))
+            .collect();
+        records.push((7, RemapOp::Intent(sample_txn()).encode(7)));
         let tier = TierOp::Commit(sample_tier_txn(TierKind::Parity));
-        let (tag, payload) = encode_tier_payload(&tier);
-        assert_eq!(
-            encode_tier_record(8, &tier),
-            frame_record_bytewise(8, tag, &payload)
-        );
+        records.push((8, tier.encode(8)));
+        records.push((10, super::shard_wal_tests::sample_records()[5].encode(10)));
+        for (seqno, rec) in records {
+            let len = u16::from_le_bytes([rec[13], rec[14]]) as usize;
+            let payload = &rec[HEADER_BYTES..HEADER_BYTES + len];
+            assert_eq!(rec, frame_record_bytewise(seqno, rec[12], payload));
+        }
         let w = sample_write(3);
         let mut payload = Vec::new();
         for field in [w.file, w.stream, w.offset, w.len] {
@@ -1626,7 +1427,7 @@ mod tests {
             remap.append(&op);
         }
         padding_flips_stop_the_scan(remap.image(), |img| {
-            let r = recover_remaps(img, 0);
+            let r = RemapRecovery::scan(img, 0);
             (r.ops.len(), r.stop)
         });
 
@@ -1635,7 +1436,7 @@ mod tests {
             tier.append(&TierOp::Intent(sample_tier_txn(kind)));
         }
         padding_flips_stop_the_scan(tier.image(), |img| {
-            let r = recover_tier(img, 0);
+            let r = TierRecovery::scan(img, 0);
             (r.ops.len(), r.stop)
         });
 
@@ -1646,6 +1447,65 @@ mod tests {
             let r = recover_writes(img, 0);
             (r.ops.len(), r.stop)
         });
+    }
+
+    /// Three whole records of `sample`, then one torn at `persisted`:
+    /// the scan keeps exactly the three; returns why it stopped.
+    fn stop_after_torn_append<R>(sample: &R, persisted: usize) -> RecoveryStop
+    where
+        R: WalRecord + Clone + PartialEq + std::fmt::Debug,
+    {
+        let mut w = Wal::new();
+        for _ in 0..3 {
+            w.append(sample);
+        }
+        w.append_torn(sample, persisted);
+        assert_eq!((w.len(), w.image().len()), (4, 4 * WAL_RECORD_BYTES));
+        let r = Recovered::<R>::scan(w.image(), 0);
+        assert_eq!(r.ops, vec![sample.clone(); 3], "persisted={persisted}");
+        r.stop
+    }
+
+    /// One writer and one scan serve five families: each round-trips its
+    /// sample and stops at a torn fourth record for the same reason.
+    #[test]
+    fn every_family_round_trips_and_tears_alike() {
+        let shard = super::shard_wal_tests::sample_records()[5].clone();
+        for persisted in [0usize, 1, 14, 15, 64, 119, 120, 127] {
+            let stops = [
+                stop_after_torn_append(&sample_ops()[4], persisted),
+                stop_after_torn_append(&RemapOp::Commit(sample_txn()), persisted),
+                stop_after_torn_append(
+                    &TierOp::Intent(sample_tier_txn(TierKind::Replica)),
+                    persisted,
+                ),
+                stop_after_torn_append(&sample_write(2), persisted),
+                stop_after_torn_append(&shard, persisted),
+            ];
+            let expected = if persisted < 4 {
+                RecoveryStop::BadMagic { at: 3 }
+            } else {
+                RecoveryStop::BadChecksum { at: 3 }
+            };
+            assert_eq!(stops, [expected; 5], "persisted={persisted}");
+        }
+
+        // The group-commit slab lays down the same stream the generic
+        // writer does, and both entry points read it back alike.
+        let staged = crate::GroupCommitWal::new(8);
+        let mut plain = Wal::new();
+        for i in 0..5 {
+            let w = sample_write(i);
+            staged.append(|seq| encode_write_record(seq, &w));
+            plain.append(&w);
+        }
+        staged.commit_all();
+        let image = staged.image();
+        assert_eq!(image, plain.image());
+        let r = recover_writes(&image, 0);
+        assert_eq!(r, Recovered::<WriteCommit>::scan(&image, 0));
+        assert_eq!(r.ops, (0..5).map(sample_write).collect::<Vec<_>>());
+        assert_eq!(r.stop, RecoveryStop::CleanEnd);
     }
 
     #[test]
@@ -1666,7 +1526,7 @@ mod tests {
 mod shard_wal_tests {
     use super::*;
 
-    fn sample_records() -> Vec<ShardRecord> {
+    pub(super) fn sample_records() -> Vec<ShardRecord> {
         vec![
             ShardRecord {
                 gseq: 0,
@@ -1743,9 +1603,9 @@ mod shard_wal_tests {
         for rec in sample_records() {
             w.append(&rec);
         }
-        let r = recover_shard(w.image(), 0);
+        let r = ShardRecovery::scan(w.image(), 0);
         assert_eq!(r.stop, RecoveryStop::CleanEnd);
-        assert_eq!(r.records, sample_records());
+        assert_eq!(r.ops, sample_records());
     }
 
     #[test]
@@ -1756,8 +1616,8 @@ mod shard_wal_tests {
             w.append(&recs[0]);
             w.append(&recs[3]);
             w.append_torn(&recs[5], persisted);
-            let r = recover_shard(w.image(), 0);
-            assert_eq!(r.records.len(), 2, "persisted={persisted}");
+            let r = ShardRecovery::scan(w.image(), 0);
+            assert_eq!(r.ops.len(), 2, "persisted={persisted}");
             assert!(
                 matches!(
                     r.stop,
@@ -1773,28 +1633,28 @@ mod shard_wal_tests {
     fn shard_scan_rejects_foreign_tags_and_vice_versa() {
         // A metadata-tag record inside a shard stream is a BadPayload stop.
         let mut img = Vec::new();
-        img.extend_from_slice(&encode_shard_record(0, &sample_records()[0]));
-        img.extend_from_slice(&encode_record(
-            1,
+        img.extend_from_slice(&sample_records()[0].encode(0));
+        img.extend_from_slice(
             &LoggedOp::Mkdir {
                 parent: crate::ids::ROOT_INO,
                 name: "d".into(),
-            },
-        ));
-        let r = recover_shard(&img, 0);
-        assert_eq!(r.records.len(), 1);
+            }
+            .encode(1),
+        );
+        let r = ShardRecovery::scan(&img, 0);
+        assert_eq!(r.ops.len(), 1);
         assert_eq!(r.stop, RecoveryStop::BadPayload { at: 1 });
 
         // And a shard record inside a metadata stream is equally rejected.
         let mut img = Vec::new();
-        img.extend_from_slice(&encode_record(
-            0,
+        img.extend_from_slice(
             &LoggedOp::Mkdir {
                 parent: crate::ids::ROOT_INO,
                 name: "d".into(),
-            },
-        ));
-        img.extend_from_slice(&encode_shard_record(1, &sample_records()[1]));
+            }
+            .encode(0),
+        );
+        img.extend_from_slice(&sample_records()[1].encode(1));
         let r = recover(&img, 0);
         assert_eq!(r.ops.len(), 1);
         assert_eq!(r.stop, RecoveryStop::BadPayload { at: 1 });
@@ -1805,8 +1665,8 @@ mod shard_wal_tests {
         let mut wal = ShardWal::new();
         sample_records().iter().for_each(|rec| wal.append(rec));
         super::tests::padding_flips_stop_the_scan(wal.image(), |img| {
-            let r = recover_shard(img, 0);
-            (r.records.len(), r.stop)
+            let r = ShardRecovery::scan(img, 0);
+            (r.ops.len(), r.stop)
         });
     }
 
@@ -1814,10 +1674,10 @@ mod shard_wal_tests {
     fn stale_shard_lap_rejected_by_seqno() {
         let recs = sample_records();
         let mut img = Vec::new();
-        img.extend_from_slice(&encode_shard_record(3, &recs[0]));
-        img.extend_from_slice(&encode_shard_record(1, &recs[1]));
-        let r = recover_shard(&img, 3);
-        assert_eq!(r.records.len(), 1);
+        img.extend_from_slice(&recs[0].encode(3));
+        img.extend_from_slice(&recs[1].encode(1));
+        let r = ShardRecovery::scan(&img, 3);
+        assert_eq!(r.ops.len(), 1);
         assert_eq!(
             r.stop,
             RecoveryStop::SeqnoMismatch {

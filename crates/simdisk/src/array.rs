@@ -151,20 +151,6 @@ impl DiskArray {
         self.disks.iter().map(|d| d.stats().clone()).collect()
     }
 
-    /// Aggregate service-time histogram over all member disks.
-    pub fn latency_total(&self) -> crate::latency::LatencyHistogram {
-        let mut total = crate::latency::LatencyHistogram::new();
-        for d in &self.disks {
-            total.absorb(d.latency());
-        }
-        total
-    }
-
-    /// Busiest disk's total busy time (gates workload completion).
-    pub fn max_busy_ns(&self) -> Nanos {
-        self.disks.iter().map(|d| d.clock()).max().unwrap_or(0)
-    }
-
     /// Drop every disk's cache (cold restart between phases).
     pub fn drop_caches(&mut self) {
         for d in &mut self.disks {

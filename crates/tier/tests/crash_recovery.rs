@@ -9,7 +9,7 @@
 use mif_alloc::{PolicyKind, StreamId};
 use mif_core::{DegradedSource, FileSystem, FsConfig, OpenFile, TierMap};
 use mif_fsck::{FsckExt, FsckOptions};
-use mif_mds::{recover_tier, DirMode, RecoveryStop, TierKind, TierOp, TierTxn, TierWal};
+use mif_mds::{DirMode, RecoveryStop, TierKind, TierOp, TierRecovery, TierTxn, TierWal};
 use mif_tier::{encode_file, recover, replicate_file};
 
 fn tier_fs() -> FileSystem {
@@ -34,7 +34,7 @@ fn crash(fs: &mut FileSystem) {
 }
 
 fn replay(fs: &mut FileSystem, wal: &TierWal) -> mif_tier::RecoveryReport {
-    let rec = recover_tier(wal.image(), 0);
+    let rec = TierRecovery::scan(wal.image(), 0);
     recover(fs, &rec)
 }
 
@@ -202,7 +202,7 @@ fn torn_tail_replays_the_clean_prefix() {
     wal.append_torn(&TierOp::Intent(txn), 40);
     crash(&mut fs);
 
-    let rec = recover_tier(wal.image(), 0);
+    let rec = TierRecovery::scan(wal.image(), 0);
     assert!(
         !matches!(rec.stop, RecoveryStop::CleanEnd),
         "tail must be detected: {:?}",

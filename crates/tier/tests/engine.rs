@@ -3,7 +3,7 @@
 use mif_alloc::{PolicyKind, StreamId};
 use mif_core::{FileSystem, FsConfig, OpenFile, TierMap};
 use mif_fsck::{FsckExt, FsckOptions};
-use mif_mds::{recover_tier, DirMode, RemapWal};
+use mif_mds::{DirMode, RemapWal, TierRecovery};
 use mif_tier::{recover, Heat, TierConfig, TierEngine};
 
 fn tier_fs() -> FileSystem {
@@ -110,7 +110,7 @@ fn engine_wal_survives_a_crash_mid_lifecycle() {
 
     // Crash: the volatile map is lost, the WAL is not.
     *fs.tier_mut() = TierMap::default();
-    let rec = recover_tier(engine.wal().image(), 0);
+    let rec = TierRecovery::scan(engine.wal().image(), 0);
     recover(&mut fs, &rec);
     assert_eq!(*fs.tier(), before, "engine log replays to the same map");
     let r = fs.fsck(&FsckOptions::default());

@@ -24,9 +24,9 @@
 //!   (Fig. 10);
 //! * [`trace`] — a text trace format, parser and replayer, so user-supplied
 //!   shared-file traces run through the same pipeline;
-//! * [`zipf`] — the seeded Zipfian key-popularity generator behind the
-//!   `service_scaling` bench's skewed client traffic (not a paper
-//!   workload: it models the serving-scale load of the service front-end).
+//! * [`zipf`] — the seeded Zipfian key-popularity generator behind
+//!   `mifbench`'s skewed client traffic (not a paper workload: it models
+//!   the serving-scale load of the service front-end).
 
 //! # Example
 //!

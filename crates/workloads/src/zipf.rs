@@ -2,7 +2,7 @@
 //!
 //! Service traffic over a large file population is never uniform: a few
 //! files soak up most of the requests (the YCSB observation, and the load
-//! model the `service_scaling` bench stresses admission control with).
+//! model `mifbench`'s service workloads drive the front-end with).
 //! [`ZipfGen`] draws keys in `0..n` with `P(rank k) ∝ 1 / (k+1)^theta`
 //! using the Gray et al. quantile-inversion method popularized by YCSB's
 //! `ZipfianGenerator`: an O(n) one-time zeta precomputation, then O(1)

@@ -6,7 +6,7 @@
 //! Every assertion message carries the workload seed and the crash index,
 //! so any failure reproduces with a one-line change.
 
-use mif::mds::wal::{self, RecoveryStop, WAL_RECORD_BYTES};
+use mif::mds::wal::{self, RecoveryStop, WalRecord, WAL_RECORD_BYTES};
 use mif::mds::{DirMode, InodeNo, LoggedOp, Mds, MdsConfig, OpLog, RemapWal, ROOT_INO};
 use mif::simdisk::{FaultPlan, IoFault};
 use mif_rng::SmallRng;
@@ -319,7 +319,7 @@ fn group_commit_image(log: &OpLog, slab: usize, plan: FlushFaultPlan) -> Vec<u8>
     wal.set_fault(plan);
     for batch in log.ops.chunks(BATCH) {
         for op in batch {
-            wal.append(|seq| wal::encode_record(seq, op));
+            wal.append(|seq| op.encode(seq));
         }
         // One commit for the whole batch: the staged records ride a single
         // merged flush (slab >= BATCH keeps flush boundaries aligned).

@@ -1,7 +1,6 @@
-//! Property-style tests for journal redo-replay and the buddy allocator —
-//! seeded random scripts, replayable from the printed seed.
+//! Property-style tests for journal redo-replay — seeded random scripts,
+//! replayable from the printed seed.
 
-use mif::alloc::BuddyAllocator;
 use mif::mds::{DirMode, LoggedOp, Mds, MdsConfig, OpLog, ROOT_INO};
 use mif_rng::SmallRng;
 
@@ -96,45 +95,5 @@ fn replay_matches_original() {
                 "seed {seed} {mode}: dirty state at op {cut}"
             );
         }
-    }
-}
-
-/// The buddy allocator against a naive block model: never double-books,
-/// never loses blocks, and always coalesces back to the initial tiling.
-#[test]
-fn buddy_matches_model() {
-    for seed in 0..CASES {
-        let mut rng = SmallRng::seed_from_u64(0xB0DD_0000 + seed);
-        let mut b = BuddyAllocator::new(4096);
-        let mut model = vec![false; 4096];
-        let mut live: Vec<(u64, u64)> = Vec::new();
-        for _ in 0..rng.gen_range(1usize..150) {
-            let is_alloc = rng.gen::<bool>();
-            let x = rng.gen_range(0u64..4096);
-            let len = rng.gen_range(1u64..40);
-            if is_alloc || live.is_empty() {
-                if let Some((s, l)) = b.alloc(x, len) {
-                    for blk in s..s + l {
-                        assert!(!model[blk as usize], "seed {seed}: double-book {blk}");
-                        model[blk as usize] = true;
-                    }
-                    live.push((s, l));
-                }
-            } else {
-                let (s, l) = live.swap_remove((x as usize) % live.len());
-                b.free(s);
-                for blk in s..s + l {
-                    model[blk as usize] = false;
-                }
-            }
-            let model_free = model.iter().filter(|&&v| !v).count() as u64;
-            assert_eq!(b.free_count(), model_free, "seed {seed}: count drift");
-        }
-        // Release everything: full coalescing.
-        for (s, _) in live {
-            b.free(s);
-        }
-        assert_eq!(b.free_count(), 4096, "seed {seed}");
-        assert_eq!(b.largest_free_run(), 4096, "seed {seed}");
     }
 }
