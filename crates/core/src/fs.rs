@@ -1,65 +1,40 @@
-//! The file-system facade.
+//! The round schedule over the engine.
 //!
-//! Concurrency is modelled by *rounds*: the workload driver opens a round,
-//! issues the operations of all concurrent streams in their arrival order
-//! (allocation decisions happen immediately, in that order — exactly the
-//! mechanism behind Figure 1(a)), then closes the round, which submits each
-//! IO server's accumulated requests as one scheduled batch and advances
-//! simulated time by the slowest server's service time.
+//! There is one copy of the file-system state and [`ConcurrentFs`] owns it
+//! (see `crate::concurrent`). [`FileSystem`] is the deterministic
+//! single-caller *schedule* over that state, and models concurrency by
+//! *rounds*: the workload driver opens a round, issues the operations of
+//! all concurrent streams in their arrival order (allocation decisions
+//! happen immediately, in that order — exactly the mechanism behind Figure
+//! 1(a)), then closes the round, which submits each IO server's
+//! accumulated requests as one scheduled batch and advances simulated time
+//! by the slowest server's service time. The two drivers differ only in
+//! *when* queued IO is submitted and how the clock is charged; placement,
+//! lifecycle, faults and health are the engine's own code, called from
+//! here.
+//!
+//! `&mut FileSystem` proves no other thread can reach the state, so
+//! whatever only an exclusive owner may do — rewrite a file's column map,
+//! hand out `&mut` views of the MDS or the tier map, fsck's repairs — goes
+//! through `Mutex::get_mut` / `RwLock::get_mut` / `Arc::get_mut`: no lock
+//! taken, no lock-order token needed.
 
+use crate::concurrent::{expect_no_fault, ConcurrentFs, FileInner, FileSlot, OstQueues, POISONED};
 use crate::config::FsConfig;
 use crate::metrics::FsMetrics;
 use crate::striping::Striping;
 use crate::tier::TierMap;
-use mif_alloc::{make_policy, AllocPolicy, FileId, GroupedAllocator, StreamId};
-use mif_extent::{Extent, ExtentTree};
+use mif_alloc::{FileId, GroupedAllocator, StreamId};
+use mif_extent::Extent;
 use mif_mds::{InodeNo, Mds, ROOT_INO};
 use mif_simdisk::{
-    BlockRequest, DiskArray, DiskHealth, DiskStats, FaultPlan, FaultStats, IoFault, Nanos,
+    BlockRequest, Disk, DiskHealth, DiskStats, FaultPlan, FaultStats, IoFault, Nanos,
 };
-use std::collections::HashMap;
-
-pub(crate) struct Ost {
-    pub(crate) alloc: GroupedAllocator,
-    pub(crate) policy: Box<dyn AllocPolicy>,
-}
-
-pub(crate) struct FileState {
-    pub(crate) name: String,
-    pub(crate) ino: InodeNo,
-    /// One extent tree per stripe *column* (column-local logical space).
-    /// A file's width (column count) is fixed at create time to the
-    /// then-active OST count, so files created after an expansion stripe
-    /// wider than older ones.
-    pub(crate) trees: Vec<ExtentTree>,
-    /// Column → physical OST. Identity with the active set at create;
-    /// a drain relocates a whole column to another OST and repoints its
-    /// entry here. All physical targeting (allocator, disk, queues) goes
-    /// through this map; all logical bookkeeping (striping math, tier
-    /// source spans) stays in column space.
-    pub(crate) ost_map: Vec<u32>,
-    pub(crate) size_blocks: u64,
-    /// Starting-column rotation for this file (files begin on different
-    /// servers so concurrent per-process files spread the load).
-    pub(crate) ost_shift: u32,
-    /// Live handle count: `create`/`open`/`open_by_ino` increment, `close`
-    /// decrements. Policy state (preallocation windows) is finalized only
-    /// when the *last* handle closes, so a file shared by several openers
-    /// keeps its windows until everyone is done.
-    pub(crate) open_handles: u32,
-}
-
-impl FileState {
-    /// The striping function this file was created under (width = its
-    /// column count).
-    pub(crate) fn striping(&self, stripe_blocks: u64) -> Striping {
-        Striping::new(self.trees.len() as u32, stripe_blocks)
-    }
-}
+use std::sync::{Arc, MutexGuard, RwLockReadGuard};
 
 /// Cumulative disk-population lifecycle counters: rebuilds, drains,
 /// expansions and scrub work, surfaced through `FsStats` and the fleet
-/// benches. Maintained by the engines (rebuild), `mif-defrag`'s drain
+/// benches. Maintained by the engine (rebuild), `mif-defrag`'s drain
 /// driver and `mif-scrub`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LifecycleStats {
@@ -87,230 +62,81 @@ pub struct LifecycleStats {
     pub scrub_findings: u64,
 }
 
-/// The engine's owned state, taken apart so [`crate::ConcurrentFs`] can
-/// shard it behind per-OST and per-file locks and reassemble on quiesce.
-pub(crate) struct EngineParts {
-    pub(crate) config: FsConfig,
-    pub(crate) array: DiskArray,
-    pub(crate) osts: Vec<Ost>,
-    pub(crate) health: Vec<DiskHealth>,
-    pub(crate) lifecycle: LifecycleStats,
-    pub(crate) mds: Mds,
-    pub(crate) files: HashMap<FileId, FileState>,
-    pub(crate) next_file: u64,
-    pub(crate) tier: TierMap,
-    pub(crate) data_elapsed_ns: Nanos,
-    pub(crate) mds_cpu_ns: Nanos,
-}
-
 /// Handle returned by [`FileSystem::create`] / [`FileSystem::open`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct OpenFile(pub FileId);
 
-/// A complete parallel file system instance.
+/// A complete parallel file system instance, driven in rounds by one
+/// caller.
 pub struct FileSystem {
+    /// A copy of the engine's configuration, made once at construction.
     pub config: FsConfig,
-    array: DiskArray,
-    osts: Vec<Ost>,
-    /// Per-bay population state. Placement consults it; IO routing and
-    /// maintenance (defrag, tier, fsck, scrub) route around non-serving
-    /// bays. Transitions go through [`FileSystem::set_ost_health`], which
-    /// enforces the [`DiskHealth::can_transition`] machine.
-    health: Vec<DiskHealth>,
-    lifecycle: LifecycleStats,
-    mds: Mds,
-    files: HashMap<FileId, FileState>,
-    next_file: u64,
-    pending: Vec<Vec<BlockRequest>>,
-    /// Write-back cache: dirty data accumulates here and flushes to the
-    /// disks in large sorted sweeps, the way page-cache writeback does —
-    /// synchronous per-round writes would charge the allocator's placement
-    /// decisions with seeks no real buffered write path pays.
-    writeback: Vec<Vec<BlockRequest>>,
-    writeback_blocks: u64,
-    /// Delayed allocation (§II-B): extending writes buffered as unmapped
-    /// logical ranges, allocated in one coalesced request per run at flush
-    /// time. An early sync forces allocation of whatever little has
-    /// accumulated — the fragility the paper contrasts on-demand with.
-    delayed_pending: HashMap<(FileId, usize), Vec<(u64, u64)>>,
-    round_open: bool,
-    /// Redundancy artifacts the tier layer derived from file data
-    /// (replicas of hot spans, parity of cold stripe groups).
-    tier: TierMap,
-    data_elapsed_ns: Nanos,
-    mds_cpu_ns: Nanos,
+    /// The state. Dirty data accumulates in its per-OST write-back queues
+    /// and flushes to the disks in large sorted sweeps, the way page-cache
+    /// writeback does — synchronous per-round writes would charge the
+    /// allocator's placement decisions with seeks no real buffered write
+    /// path pays.
+    pub(crate) fs: ConcurrentFs,
+    pub(crate) round_open: bool,
 }
 
 impl FileSystem {
     pub fn new(config: FsConfig) -> Self {
-        let osts_n = config.total_osts();
-        let array = DiskArray::with_config(
-            osts_n,
-            config.geometry.clone(),
-            config.scheduler.clone(),
-            config.data_cache_blocks,
-        );
-        let osts = (0..osts_n)
-            .map(|_| Ost {
-                alloc: GroupedAllocator::new(config.geometry.blocks, config.groups_per_ost),
-                policy: match config.policy {
-                    mif_alloc::PolicyKind::OnDemand => {
-                        Box::new(mif_alloc::OnDemandPolicy::new(config.ondemand.clone()))
-                            as Box<dyn AllocPolicy>
-                    }
-                    mif_alloc::PolicyKind::Reservation => Box::new(
-                        mif_alloc::ReservationPolicy::new(config.reservation_window_blocks),
-                    ),
-                    k => make_policy(k),
-                },
-            })
-            .collect();
-        let mds = Mds::new(config.mds.clone());
-        let pending = vec![Vec::new(); osts_n];
-        let writeback = vec![Vec::new(); osts_n];
-        let health = (0..osts_n)
-            .map(|i| {
-                if i < config.osts as usize {
-                    DiskHealth::Healthy
-                } else {
-                    DiskHealth::Absent
-                }
-            })
-            .collect();
-        Self {
-            writeback,
-            writeback_blocks: 0,
-            delayed_pending: HashMap::new(),
-            config,
-            array,
-            osts,
-            health,
-            lifecycle: LifecycleStats::default(),
-            mds,
-            files: HashMap::new(),
-            next_file: 1,
-            pending,
-            round_open: false,
-            tier: TierMap::new(),
-            data_elapsed_ns: 0,
-            mds_cpu_ns: 0,
-        }
+        ConcurrentFs::new(config).into_engine()
     }
 
-    /// Take the quiesced engine apart for the concurrent front-end. The
-    /// caller must have flushed everything first: no open round, no pending
-    /// or buffered IO, no delayed ranges — sharding a system with in-flight
-    /// state would silently drop it.
-    pub(crate) fn into_parts(mut self) -> EngineParts {
-        assert!(!self.round_open, "into_parts with an open round");
-        self.sync_data();
-        assert!(self.pending.iter().all(|b| b.is_empty()));
-        assert!(self.writeback.iter().all(|b| b.is_empty()));
-        assert!(self.delayed_pending.is_empty());
-        EngineParts {
-            config: self.config,
-            array: self.array,
-            osts: self.osts,
-            health: self.health,
-            lifecycle: self.lifecycle,
-            mds: self.mds,
-            files: self.files,
-            next_file: self.next_file,
-            tier: self.tier,
-            data_elapsed_ns: self.data_elapsed_ns,
-            mds_cpu_ns: self.mds_cpu_ns,
-        }
+    // ----- exclusive views --------------------------------------------------
+
+    fn disk(&self, ost: usize) -> MutexGuard<'_, Disk> {
+        self.fs.shards[ost].disk.lock().expect(POISONED)
     }
 
-    /// Rebuild an engine from parts the concurrent front-end sharded.
-    pub(crate) fn from_parts(parts: EngineParts) -> Self {
-        let osts_n = parts.config.total_osts();
-        Self {
-            array: parts.array,
-            osts: parts.osts,
-            health: parts.health,
-            lifecycle: parts.lifecycle,
-            mds: parts.mds,
-            files: parts.files,
-            next_file: parts.next_file,
-            pending: vec![Vec::new(); osts_n],
-            writeback: vec![Vec::new(); osts_n],
-            writeback_blocks: 0,
-            delayed_pending: HashMap::new(),
-            round_open: false,
-            tier: parts.tier,
-            data_elapsed_ns: parts.data_elapsed_ns,
-            mds_cpu_ns: parts.mds_cpu_ns,
-            config: parts.config,
-        }
+    fn disk_mut(&mut self, ost: usize) -> &mut Disk {
+        self.fs.shards[ost].disk.get_mut().expect(POISONED)
+    }
+
+    fn queues_mut(&mut self, ost: usize) -> &mut OstQueues {
+        self.fs.shards[ost].queues.get_mut().expect(POISONED)
+    }
+
+    /// A slot some thread still holds an `Arc` to cannot be driven in
+    /// rounds — that is a front-end client outliving its quiesce, and a
+    /// panic beats silently racing it.
+    fn exclusive(slot: &mut Arc<FileSlot>) -> &mut FileSlot {
+        Arc::get_mut(slot).expect("file slot shared while driven in rounds")
+    }
+
+    fn slots_mut(&mut self) -> impl Iterator<Item = &mut FileSlot> {
+        let files = self.fs.files.get_mut().expect(POISONED);
+        files.values_mut().map(Self::exclusive)
+    }
+
+    fn slot_mut(&mut self, file: OpenFile) -> Option<&mut FileSlot> {
+        let files = self.fs.files.get_mut().expect(POISONED);
+        files.get_mut(&file.0).map(Self::exclusive)
+    }
+
+    fn inner_mut(&mut self, file: OpenFile) -> Option<&mut FileInner> {
+        Some(self.slot_mut(file)?.inner.get_mut().expect(POISONED))
     }
 
     // ----- lifecycle ------------------------------------------------------
 
     /// Create a file under the root directory. `size_hint_blocks` is the
     /// application's declared final size — only the static (`fallocate`)
-    /// policy uses it.
+    /// policy uses it, mapping the whole hinted range up front (unwritten
+    /// extents), so the blocks are owned by the file and freed with it at
+    /// unlink. New layouts land only on bays accepting placements: a
+    /// draining, failed or absent OST gets no new columns. The file's
+    /// width is fixed here — files created after an expansion stripe wider.
     pub fn create(&mut self, name: &str, size_hint_blocks: Option<u64>) -> OpenFile {
-        let id = FileId(self.next_file);
-        self.next_file += 1;
-        let ino = self.mds.create(ROOT_INO, name, 0);
-        // New layouts land only on bays accepting placements: a draining,
-        // failed or absent OST gets no new columns. The file's width is
-        // fixed here — files created after an expansion stripe wider.
-        let ost_map = self.active_osts();
-        assert!(
-            !ost_map.is_empty(),
-            "create with no OST accepting placements"
-        );
-        let width = ost_map.len();
-        let per_ost_hint = size_hint_blocks.map(|s| s.div_ceil(width as u64));
-        for &phys in &ost_map {
-            let ost = &mut self.osts[phys as usize];
-            ost.policy.create(&ost.alloc, id, per_ost_hint);
-        }
-        let mut trees: Vec<ExtentTree> = (0..width).map(|_| ExtentTree::new()).collect();
-        // fallocate semantics: static preallocation maps the whole hinted
-        // range up front (unwritten extents), so the blocks are owned by
-        // the file and freed with it at unlink.
-        if self.config.policy == mif_alloc::PolicyKind::Static {
-            if let Some(hint) = per_ost_hint {
-                let stream = StreamId::new(u32::MAX, u32::MAX);
-                for (&phys, tree) in ost_map.iter().zip(&mut trees) {
-                    let ost = &mut self.osts[phys as usize];
-                    let mut logical = 0;
-                    for (phys, l) in ost.policy.extend(&ost.alloc, id, stream, 0, hint) {
-                        tree.insert(Extent::new(logical, phys, l));
-                        logical += l;
-                    }
-                }
-            }
-        }
-        self.files.insert(
-            id,
-            FileState {
-                name: name.to_string(),
-                ino,
-                trees,
-                ost_map,
-                size_blocks: 0,
-                ost_shift: (id.0 % width as u64) as u32,
-                open_handles: 1,
-            },
-        );
-        OpenFile(id)
+        self.fs.create(name, size_hint_blocks)
     }
 
     /// Open by name. Models the aggregated open-getlayout of §II-A.2: the
     /// layout arrives with the open in a single MDS operation.
     pub fn open(&mut self, name: &str) -> Option<OpenFile> {
-        let id = self
-            .files
-            .iter()
-            .find(|(_, f)| f.name == name)
-            .map(|(&id, _)| id)?;
-        self.mds.getlayout(ROOT_INO, name);
-        self.files.get_mut(&id).expect("just found").open_handles += 1;
-        Some(OpenFile(id))
+        self.fs.open(name)
     }
 
     /// Open by inode number — the path management jobs take (§IV-B:
@@ -318,14 +144,14 @@ impl FileSystem {
     /// In embedded mode the number routes through the global directory
     /// table and the rename correlation, so pre-rename IDs still resolve.
     pub fn open_by_ino(&mut self, ino: InodeNo) -> Option<OpenFile> {
-        let current = self.mds.resolve_inode(ino)?;
-        let id = self
-            .files
-            .iter()
-            .find(|(_, f)| f.ino == current)
-            .map(|(&id, _)| id)?;
-        self.files.get_mut(&id).expect("just found").open_handles += 1;
-        Some(OpenFile(id))
+        let current = self.mds().resolve_inode(ino)?;
+        self.slots_mut().find_map(|slot| {
+            let inner = slot.inner.get_mut().expect(POISONED);
+            (inner.ino == current).then(|| {
+                inner.open_handles += 1;
+                OpenFile(slot.id)
+            })
+        })
     }
 
     /// Close one handle. When the *last* handle closes, unconsumed
@@ -335,58 +161,51 @@ impl FileSystem {
     /// relocatable from then on). Closing with other handles still open
     /// only drops the count.
     pub fn close(&mut self, file: OpenFile) {
-        let Some(state) = self.files.get_mut(&file.0) else {
-            return;
-        };
-        state.open_handles = state.open_handles.saturating_sub(1);
-        if state.open_handles == 0 {
-            for ost in &mut self.osts {
-                ost.policy.finalize(&ost.alloc, file.0);
-            }
-        }
+        self.fs.close(file)
     }
 
     /// Live handles on `file` (0 after the last close or for unknown ids).
     pub fn open_handle_count(&self, file: OpenFile) -> u32 {
-        self.files.get(&file.0).map(|f| f.open_handles).unwrap_or(0)
+        self.fs.open_handle_count(file)
     }
 
     /// Does any OST's policy still hold a live preallocation window for
     /// `file`? The defrag scheduler skips such files — relocating them
     /// would race the window's future allocations.
     pub fn has_live_preallocation(&self, file: OpenFile) -> bool {
-        self.osts.iter().any(|o| o.policy.has_reservation(file.0))
+        self.fs.has_live_preallocation(file)
     }
 
     /// Truncate the file to `new_size_blocks`, freeing the tail's blocks.
     pub fn truncate(&mut self, file: OpenFile, new_size_blocks: u64) {
         self.sync_data();
-        let Some(state) = self.files.get(&file.0) else {
+        let stripe_blocks = self.config.stripe_blocks;
+        let Some(slot) = self.slot_mut(file) else {
             return;
         };
-        let old_size = state.size_blocks;
+        let (striping, shift) = (slot.striping(stripe_blocks), slot.ost_shift);
+        let inner = slot.inner.get_mut().expect(POISONED);
+        let old_size = inner.size_blocks;
         if new_size_blocks >= old_size {
             return;
         }
-        let shift = state.ost_shift;
-        let striping = state.striping(self.config.stripe_blocks);
+        let mut freed = Vec::new();
         for (col, local, run, _) in
             striping.pieces(new_size_blocks, old_size - new_size_blocks, shift)
         {
-            let col = col as usize;
-            let state = self.files.get_mut(&file.0).expect("file exists");
-            let ost_idx = state.ost_map[col] as usize;
-            for (phys, len) in state.trees[col].remove(local, run) {
-                self.osts[ost_idx].alloc.free(phys, len);
-                self.array.disk_mut(ost_idx).invalidate(phys, len);
-            }
+            let ost = slot.ost_map[col as usize] as usize;
+            let runs = inner.trees[col as usize].remove(local, run);
+            freed.extend(runs.into_iter().map(|(phys, len)| (ost, phys, len)));
         }
-        let state = self.files.get_mut(&file.0).expect("file exists");
-        state.size_blocks = new_size_blocks;
-        self.mds.utime(ROOT_INO, &state.name.clone());
+        inner.size_blocks = new_size_blocks;
+        let name = inner.name.clone();
+        for (ost, phys, len) in freed {
+            self.tier_free_run(ost, phys, len);
+        }
+        self.mds().utime(ROOT_INO, &name);
         // Content bounds changed wholesale: every derived artifact of the
         // file is stale (lazy teardown frees the runs later).
-        self.tier.invalidate_file(file.0 .0);
+        self.tier_mut().invalidate_file(file.0 .0);
     }
 
     /// Rename `file` to `new_name` within the root directory. Returns the
@@ -397,51 +216,23 @@ impl FileSystem {
     ///
     /// [`end_management`]: FileSystem::end_management
     pub fn rename(&mut self, file: OpenFile, new_name: &str) -> Option<InodeNo> {
-        let state = self.files.get(&file.0)?;
-        if state.name == new_name {
-            return Some(state.ino);
-        }
-        let old = state.name.clone();
-        let ino = self.mds.rename(ROOT_INO, &old, ROOT_INO, new_name)?;
-        let state = self.files.get_mut(&file.0).expect("present above");
-        state.name = new_name.to_string();
-        state.ino = ino;
-        Some(ino)
+        self.fs.rename_file(file, new_name)
     }
 
     /// End of the management routines holding pre-rename file IDs: drops
     /// the MDS rename correlations (see [`mif_mds::Mds::end_management`]).
     pub fn end_management(&mut self) {
-        self.mds.end_management();
+        self.mds().end_management();
     }
 
-    /// Delete: free all blocks and remove the MDS entry. Releases policy
-    /// state unconditionally — an unlinked file has no future writes, so
-    /// remaining open handles cannot keep its windows alive.
+    /// Delete: free all blocks (the file's and every replica and parity
+    /// run the tier layer derived from it) and remove the MDS entry.
+    /// Releases policy state unconditionally — an unlinked file has no
+    /// future writes, so remaining open handles cannot keep its windows
+    /// alive.
     pub fn unlink(&mut self, file: OpenFile) {
         self.sync_data();
-        for ost in &mut self.osts {
-            ost.policy.finalize(&ost.alloc, file.0);
-        }
-        let Some(state) = self.files.remove(&file.0) else {
-            return;
-        };
-        for (col, mut tree) in state.trees.into_iter().enumerate() {
-            let i = state.ost_map[col] as usize;
-            for (phys, len) in tree.clear() {
-                self.osts[i].alloc.free(phys, len);
-                self.array.disk_mut(i).invalidate(phys, len);
-            }
-        }
-        // Derived redundancy dies with the primary: free every replica and
-        // parity run the tier layer holds for this file, then forget them.
-        for run in self.tier.runs_of_file(file.0 .0) {
-            let ost = run.ost as usize;
-            self.osts[ost].alloc.free(run.phys, run.len);
-            self.array.disk_mut(ost).invalidate(run.phys, run.len);
-        }
-        self.tier.drop_file(file.0 .0);
-        self.mds.unlink(ROOT_INO, &state.name);
+        self.fs.unlink(file)
     }
 
     // ----- rounds ----------------------------------------------------------
@@ -457,8 +248,7 @@ impl FileSystem {
     /// slowest server gates the round). Write-back data flushes when the
     /// dirty threshold is exceeded.
     pub fn end_round(&mut self) -> Nanos {
-        self.try_end_round()
-            .unwrap_or_else(|(ost, f)| panic!("unhandled fault on OST {ost}: {f}"))
+        expect_no_fault(self.try_end_round())
     }
 
     /// Fallible [`FileSystem::end_round`]: an injected fault on any IO
@@ -470,14 +260,38 @@ impl FileSystem {
     pub fn try_end_round(&mut self) -> Result<Nanos, (usize, IoFault)> {
         assert!(self.round_open, "no open round");
         self.round_open = false;
-        let n = self.total_osts();
-        let batches = std::mem::replace(&mut self.pending, vec![Vec::new(); n]);
-        let mut t = self.array.try_submit_round(batches)?;
-        if self.writeback_blocks >= self.config.writeback_limit_blocks {
+        let mut t = self.submit_round(|q| std::mem::take(&mut q.pending))?;
+        if *self.fs.writeback_blocks.get_mut() >= self.config.writeback_limit_blocks {
             t += self.try_flush_writeback()?;
         }
-        self.data_elapsed_ns += t;
+        self.fs.base_elapsed_ns += t;
         Ok(t)
+    }
+
+    /// Hand every IO server the batch `take` finds in its queues and
+    /// return the slowest one's service time. *Every* server is asked,
+    /// also for an empty batch: the servers are independent, so one
+    /// faulting does not stop the others (their IO has been serviced and
+    /// persists) — and a dead bay faults a round that sent it nothing.
+    /// The first fault is reported with the index of its server.
+    fn submit_round(
+        &mut self,
+        take: impl Fn(&mut OstQueues) -> Vec<BlockRequest>,
+    ) -> Result<Nanos, (usize, IoFault)> {
+        let mut elapsed: Nanos = 0;
+        let mut first_fault = None;
+        for (i, shard) in self.fs.shards.iter_mut().enumerate() {
+            let batch = take(shard.queues.get_mut().expect(POISONED));
+            let disk = shard.disk.get_mut().expect(POISONED);
+            match disk.try_submit_batch(batch) {
+                Ok(t) => elapsed = elapsed.max(t),
+                Err(f) => {
+                    first_fault.get_or_insert((i, f));
+                }
+            }
+            *shard.powered_off.get_mut() = disk.powered_off();
+        }
+        first_fault.map_or(Ok(elapsed), Err)
     }
 
     /// Flush the write-back cache: one large sorted sweep per IO server.
@@ -488,77 +302,32 @@ impl FileSystem {
     /// each file's buffered ranges are sorted, coalesced into maximal runs
     /// and allocated with one request per run — "the opportunity to
     /// combine many block allocation requests into a single request"
-    /// (§II-B). Frequent syncs shrink the runs and the benefit.
+    /// (§II-B). Frequent syncs shrink the runs and the benefit: an early
+    /// sync forces allocation of whatever little has accumulated — the
+    /// fragility the paper contrasts on-demand with.
     pub fn flush_writeback(&mut self) -> Nanos {
-        self.try_flush_writeback()
-            .unwrap_or_else(|(ost, f)| panic!("unhandled fault on OST {ost}: {f}"))
+        expect_no_fault(self.try_flush_writeback())
     }
 
     /// Fallible [`FileSystem::flush_writeback`]. On a fault, the faulted
     /// server's unserviced tail is lost (as on a real crash) — the logical
     /// mapping survives in memory, so a recovery pass can rewrite it.
     pub fn try_flush_writeback(&mut self) -> Result<Nanos, (usize, IoFault)> {
-        self.allocate_delayed();
-        if self.writeback_blocks == 0 {
+        self.fs.allocate_delayed();
+        if std::mem::take(self.fs.writeback_blocks.get_mut()) == 0 {
             return Ok(0);
         }
-        self.writeback_blocks = 0;
-        let n = self.total_osts();
-        let batches = std::mem::replace(&mut self.writeback, vec![Vec::new(); n]);
-        self.array.try_submit_round(batches)
-    }
-
-    /// Allocate everything the delayed-allocation path has buffered.
-    fn allocate_delayed(&mut self) {
-        let pending = std::mem::take(&mut self.delayed_pending);
-        let stream = StreamId::new(u32::MAX, 0); // allocation is flush-driven
-        for ((file_id, col), mut ranges) in pending {
-            ranges.sort_unstable();
-            // Coalesce adjacent/overlapping logical ranges into runs.
-            let mut runs: Vec<(u64, u64)> = Vec::new();
-            for (start, len) in ranges {
-                match runs.last_mut() {
-                    Some((s, l)) if *s + *l >= start => {
-                        let end = (*s + *l).max(start + len);
-                        *l = end - *s;
-                    }
-                    _ => runs.push((start, len)),
-                }
-            }
-            let state = self.files.get_mut(&file_id).expect("file exists");
-            let ost_idx = state.ost_map[col] as usize;
-            for (start, len) in runs {
-                // A range may have been mapped meanwhile (overwrite after
-                // buffering); allocate only what is still a hole.
-                for (gap_start, gap_len) in state.trees[col].gaps(start, len) {
-                    let ost = &mut self.osts[ost_idx];
-                    let allocated = ost
-                        .policy
-                        .extend(&ost.alloc, file_id, stream, gap_start, gap_len);
-                    let before = state.trees[col].extent_count();
-                    let mut logical = gap_start;
-                    for (phys, l) in allocated {
-                        state.trees[col].insert(Extent::new(logical, phys, l));
-                        self.writeback[ost_idx].push(BlockRequest::write(phys, l));
-                        logical += l;
-                    }
-                    let added = state.trees[col].extent_count().saturating_sub(before) as u64;
-                    self.mds_cpu_ns += added * self.config.mds_cpu_ns_per_extent;
-                }
-            }
-        }
+        self.submit_round(|q| std::mem::take(&mut q.writeback))
     }
 
     /// Flush dirty data and charge the time (fsync analogue).
     pub fn sync_data(&mut self) {
-        let t = self.flush_writeback();
-        self.data_elapsed_ns += t;
+        expect_no_fault(self.try_sync_data())
     }
 
     /// Fallible [`FileSystem::sync_data`].
     pub fn try_sync_data(&mut self) -> Result<(), (usize, IoFault)> {
-        let t = self.try_flush_writeback()?;
-        self.data_elapsed_ns += t;
+        self.fs.base_elapsed_ns += self.try_flush_writeback()?;
         Ok(())
     }
 
@@ -568,28 +337,28 @@ impl FileSystem {
     /// Use the `try_*` entry points afterwards — the infallible ones panic
     /// when a fault fires.
     pub fn install_faults(&mut self, plan: FaultPlan) {
-        self.array.install_faults(plan);
+        self.fs.install_faults(plan);
     }
 
     /// Remove all fault injectors.
     pub fn clear_faults(&mut self) {
-        self.array.clear_faults();
+        self.fs.clear_faults();
     }
 
     /// Restore power to every IO server after injected power cuts (their
     /// volatile caches are lost).
     pub fn power_restore(&mut self) {
-        self.array.power_restore();
+        self.fs.power_restore();
     }
 
     /// One IO server's fault counters, when a plan is installed.
-    pub fn fault_stats(&self, ost: usize) -> Option<&FaultStats> {
-        self.array.disk(ost).fault_stats()
+    pub fn fault_stats(&self, ost: usize) -> Option<FaultStats> {
+        self.fs.fault_stats(ost)
     }
 
     /// Is any IO server dead from an injected power cut?
     pub fn any_powered_off(&self) -> bool {
-        (0..self.total_osts()).any(|i| self.array.disk(i).powered_off())
+        self.fs.any_powered_off()
     }
 
     /// Convenience: run `f` inside a round and return the round time.
@@ -606,16 +375,16 @@ impl FileSystem {
     /// extending-write path the whole paper is about); mapped blocks are
     /// overwritten in place.
     pub fn write(&mut self, file: OpenFile, stream: StreamId, offset: u64, len: u64) {
-        self.try_write(file, stream, offset, len)
-            .unwrap_or_else(|(ost, f)| panic!("unhandled fault on OST {ost}: {f}"));
+        expect_no_fault(self.try_write(file, stream, offset, len));
     }
 
     /// Fallible [`FileSystem::write`]. Writes buffer in the write-back
-    /// cache, so the only fault observable *at write time* is a dead
-    /// server: buffering data toward an OST that lost power fails
-    /// immediately, the way a real client's dirty pages would error once
-    /// the server is unreachable. All other faults surface at submission
-    /// time ([`FileSystem::try_end_round`] / [`FileSystem::try_sync_data`]).
+    /// cache, so the only faults observable *at write time* are a dead
+    /// server and a column on a `Failed` bay: buffering data toward an OST
+    /// that lost power fails immediately, the way a real client's dirty
+    /// pages would error once the server is unreachable. All other faults
+    /// surface at submission time ([`FileSystem::try_end_round`] /
+    /// [`FileSystem::try_sync_data`]).
     pub fn try_write(
         &mut self,
         file: OpenFile,
@@ -623,105 +392,8 @@ impl FileSystem {
         offset: u64,
         len: u64,
     ) -> Result<(), (usize, IoFault)> {
-        for i in 0..self.total_osts() {
-            if self.array.disk(i).powered_off() {
-                let writes = self
-                    .fault_stats(i)
-                    .map(|s| s.writes_seen)
-                    .unwrap_or_default();
-                return Err((
-                    i,
-                    IoFault::PowerCut {
-                        after_writes: writes,
-                    },
-                ));
-            }
-        }
-        self.write_inner(file, stream, offset, len);
-        Ok(())
-    }
-
-    fn write_inner(&mut self, file: OpenFile, stream: StreamId, offset: u64, len: u64) {
         assert!(self.round_open, "write outside a round");
-        assert!(len > 0, "zero-length write");
-        let shift = self.files[&file.0].ost_shift;
-        let striping = self.files[&file.0].striping(self.config.stripe_blocks);
-        let pieces = striping.pieces(offset, len, shift);
-        let mut new_extents: u64 = 0;
-        let delayed = self.config.policy == mif_alloc::PolicyKind::Delayed;
-        for (col, local, run, _) in pieces {
-            let col = col as usize;
-            // The content of this span is changing: any replica or stripe
-            // group derived from it no longer matches the primary. Tier
-            // source coordinates are column-space, so this key survives a
-            // drain moving the column to another bay.
-            self.tier
-                .invalidate_overlap(file.0 .0, col as u32, local, run);
-            let state = self.files.get_mut(&file.0).expect("file exists");
-            let ost_idx = state.ost_map[col] as usize;
-            let tree = &mut state.trees[col];
-
-            if delayed {
-                // Delayed allocation: buffer the unmapped ranges; they are
-                // allocated (coalesced) at write-back time. Mapped portions
-                // are overwrites and queue normally below.
-                for (gap_start, gap_len) in tree.gaps(local, run) {
-                    self.delayed_pending
-                        .entry((file.0, col))
-                        .or_default()
-                        .push((gap_start, gap_len));
-                    self.writeback_blocks += gap_len;
-                }
-                state.trees[col].resolve_with(local, run, |phys, l| {
-                    self.writeback[ost_idx].push(BlockRequest::write(phys, l));
-                    self.writeback_blocks += l;
-                });
-                continue;
-            }
-
-            // Copy-on-write: already-mapped blocks in the written range
-            // relocate — free the old placement and let the hole-allocation
-            // below place them at the log head. Perfect for the write path;
-            // the reason §II-B says CoW "read traffic can be compromised".
-            if self.config.policy == mif_alloc::PolicyKind::Cow {
-                for (old_phys, old_len) in tree.remove(local, run) {
-                    self.osts[ost_idx].alloc.free(old_phys, old_len);
-                    self.array.disk_mut(ost_idx).invalidate(old_phys, old_len);
-                }
-            }
-
-            let state = self.files.get_mut(&file.0).expect("file exists");
-            let tree = &mut state.trees[col];
-            // Allocate the holes (extending portion) in arrival order.
-            for (gap_start, gap_len) in tree.gaps(local, run) {
-                let ost = &mut self.osts[ost_idx];
-                let runs = ost
-                    .policy
-                    .extend(&ost.alloc, file.0, stream, gap_start, gap_len);
-                let mut logical = gap_start;
-                let before = tree.extent_count();
-                for (phys, l) in runs {
-                    tree.insert(Extent::new(logical, phys, l));
-                    logical += l;
-                }
-                debug_assert_eq!(logical, gap_start + gap_len, "policy short-allocated");
-                let added = tree.extent_count().saturating_sub(before) as u64;
-                // Layout updates cost MDS CPU proportional to the extents
-                // generated (merging/indexing, Table I).
-                self.mds_cpu_ns += added * self.config.mds_cpu_ns_per_extent;
-                new_extents += added;
-            }
-
-            // Writes land in the write-back cache; they reach the disks in
-            // large sorted flushes.
-            state.trees[col].resolve_with(local, run, |phys, l| {
-                self.writeback[ost_idx].push(BlockRequest::write(phys, l));
-                self.writeback_blocks += l;
-            });
-        }
-        let state = self.files.get_mut(&file.0).expect("file exists");
-        state.size_blocks = state.size_blocks.max(offset + len);
-        let _ = new_extents;
+        self.fs.place_write(file, stream, offset, len)
     }
 
     /// Read `len` blocks at `offset` as `stream`. Requests carry a
@@ -730,18 +402,7 @@ impl FileSystem {
     /// per-`struct file` readahead. Holes are skipped.
     pub fn read(&mut self, file: OpenFile, stream: StreamId, offset: u64, len: u64) {
         assert!(self.round_open, "read outside a round");
-        let ctx = stream.as_u64() ^ file.0 .0.rotate_left(17);
-        let shift = self.files[&file.0].ost_shift;
-        let striping = self.files[&file.0].striping(self.config.stripe_blocks);
-        let pieces = striping.pieces(offset, len, shift);
-        for (col, local, run, _) in pieces {
-            let col = col as usize;
-            let state = self.files.get(&file.0).expect("file exists");
-            let ost_idx = state.ost_map[col] as usize;
-            state.trees[col].resolve_with(local, run, |phys, l| {
-                self.pending[ost_idx].push(BlockRequest::read(phys, l).with_ctx(ctx))
-            });
-        }
+        self.fs.read(file, stream, offset, len)
     }
 
     /// Defragment (replicate-and-switch) a logical range: copy each OST's
@@ -752,56 +413,24 @@ impl FileSystem {
     /// "replication is not free at runtime" cost the paper holds against
     /// this class of solutions. Returns the simulated time spent.
     pub fn defragment_range(&mut self, file: OpenFile, offset: u64, len: u64) -> Nanos {
-        assert!(!self.round_open, "defragment outside a round");
         self.sync_data();
         let t0 = self.data_elapsed_ns();
-        let shift = self.files[&file.0].ost_shift;
-        let striping = self.files[&file.0].striping(self.config.stripe_blocks);
+        let striping = self.striping_of(file).expect("defragment of unknown file");
+        let (shift, ost_map) = (self.ost_shift_of(file).unwrap_or(0), self.ost_map_of(file));
         for (col, local, run, _) in striping.pieces(offset, len, shift) {
-            let col = col as usize;
-            let ost_idx = self.files[&file.0].ost_map[col] as usize;
-            // Mapped logical sub-ranges and their physical runs, in order.
-            type Runs = Vec<(u64, u64)>;
-            let (subs, old_runs): (Runs, Runs) = {
-                let tree = &self.files[&file.0].trees[col];
-                let subs: Vec<(u64, u64)> = tree
-                    .extents()
-                    .filter(|e| e.logical < local + run && local < e.logical_end())
-                    .map(|e| {
-                        let lo = e.logical.max(local);
-                        let hi = e.logical_end().min(local + run);
-                        (lo, hi - lo)
-                    })
-                    .collect();
-                (subs, tree.resolve(local, run))
-            };
+            let (col, ost) = (col as usize, ost_map[col as usize] as usize);
+            let tree = &self.inner_mut(file).expect("striping_of found it").trees[col];
+            let old_runs = tree.resolve(local, run);
             if old_runs.len() <= 1 {
                 continue; // already contiguous (or a hole)
             }
-            let total: u64 = subs.iter().map(|r| r.1).sum();
+            let total: u64 = old_runs.iter().map(|r| r.1).sum();
             // A contiguous destination near the old data.
-            let Some(dest) = self.osts[ost_idx].alloc.alloc_run(old_runs[0].0, total) else {
+            let Some(dest) = self.allocator(ost).alloc_run(old_runs[0].0, total) else {
                 continue; // no contiguous space: nothing to gain
             };
-            // Copy: read the old placement, write the new run.
-            self.begin_round();
-            for &(phys, l) in &old_runs {
-                self.pending[ost_idx].push(BlockRequest::read(phys, l));
-            }
-            self.pending[ost_idx].push(BlockRequest::write(dest, total));
-            self.end_round();
-            // Remap and free the old placement.
-            let state = self.files.get_mut(&file.0).expect("file exists");
-            let freed = state.trees[col].remove(local, run);
-            let mut dpos = dest;
-            for (lstart, l) in subs {
-                state.trees[col].insert(Extent::new(lstart, dpos, l));
-                dpos += l;
-            }
-            for (phys, l) in freed {
-                self.osts[ost_idx].alloc.free(phys, l);
-                self.array.disk_mut(ost_idx).invalidate(phys, l);
-            }
+            expect_no_fault(self.defrag_try_copy(ost, &old_runs, ost, dest, total));
+            self.defrag_apply_remap(file, col, local, run, ost, dest, total);
         }
         self.data_elapsed_ns() - t0
     }
@@ -831,14 +460,8 @@ impl FileSystem {
         dest: u64,
         total: u64,
     ) -> Result<Nanos, (usize, IoFault)> {
-        assert!(!self.round_open, "defrag copy inside a round");
-        self.try_sync_data()?;
-        self.begin_round();
-        for &(phys, l) in old_runs {
-            self.pending[src_ost].push(BlockRequest::read(phys, l));
-        }
-        self.pending[dst_ost].push(BlockRequest::write(dest, total));
-        self.try_end_round()
+        let reads: Vec<_> = old_runs.iter().map(|&(p, l)| (src_ost, p, l)).collect();
+        self.tier_try_io(&reads, &[(dst_ost, dest, total)])
     }
 
     /// Apply (or re-apply) a relocation's extent remap: drop the old
@@ -866,11 +489,11 @@ impl FileSystem {
         dest: u64,
         total: u64,
     ) -> bool {
-        let Some(state) = self.files.get_mut(&file.0) else {
+        let Some(slot) = self.slot_mut(file) else {
             return false;
         };
-        let src_ost = state.ost_map[col] as usize;
-        let tree = &mut state.trees[col];
+        let src_ost = slot.ost_map[col] as usize;
+        let tree = &mut slot.inner.get_mut().expect(POISONED).trees[col];
         if src_ost == dst_ost && tree.resolve(logical, len) == [(dest, total)] {
             return false; // already applied (WAL redo)
         }
@@ -901,10 +524,9 @@ impl FileSystem {
             tree.insert(Extent::new(lstart, dpos, l));
             dpos += l;
         }
-        state.ost_map[col] = dst_ost as u32;
+        slot.ost_map[col] = dst_ost as u32;
         for (phys, l) in freed {
-            self.osts[src_ost].alloc.free(phys, l);
-            self.array.disk_mut(src_ost).invalidate(phys, l);
+            self.tier_free_run(src_ost, phys, l);
         }
         true
     }
@@ -915,13 +537,14 @@ impl FileSystem {
     /// journal); returns `false` if the column holds extents (use the
     /// relocation protocol) or already points at `dst_ost`.
     pub fn retarget_empty_column(&mut self, file: OpenFile, col: usize, dst_ost: usize) -> bool {
-        let Some(state) = self.files.get_mut(&file.0) else {
+        let Some(slot) = self.slot_mut(file) else {
             return false;
         };
-        if state.trees[col].extent_count() != 0 || state.ost_map[col] as usize == dst_ost {
+        let extents = slot.inner.get_mut().expect(POISONED).trees[col].extent_count();
+        if extents != 0 || slot.ost_map[col] as usize == dst_ost {
             return false;
         }
-        state.ost_map[col] = dst_ost as u32;
+        slot.ost_map[col] = dst_ost as u32;
         true
     }
 
@@ -935,14 +558,17 @@ impl FileSystem {
     // steps is recoverable because the destination run carries no state
     // anyone depends on until the map update.
 
-    /// The tier map: replicas and stripe groups derived from file data.
-    pub fn tier(&self) -> &TierMap {
-        &self.tier
+    /// The tier map: redundancy artifacts the tier layer derived from file
+    /// data (replicas of hot spans, parity of cold stripe groups). The
+    /// guard is a read lock nobody contends for; the borrow checker keeps
+    /// it from being held across a `&mut self` call.
+    pub fn tier(&self) -> RwLockReadGuard<'_, TierMap> {
+        self.fs.tier.read().expect(POISONED)
     }
 
     /// Mutable tier map (artifact registration, invalidation, teardown).
     pub fn tier_mut(&mut self) -> &mut TierMap {
-        &mut self.tier
+        self.fs.tier.get_mut().expect(POISONED)
     }
 
     /// Move one tier transaction's bytes: submit `reads` then `writes`
@@ -955,23 +581,27 @@ impl FileSystem {
         reads: &[(usize, u64, u64)],
         writes: &[(usize, u64, u64)],
     ) -> Result<Nanos, (usize, IoFault)> {
-        assert!(!self.round_open, "tier IO inside a round");
+        assert!(!self.round_open, "maintenance IO inside a round");
         self.try_sync_data()?;
         self.begin_round();
-        for &(ost, phys, len) in reads {
-            self.pending[ost].push(BlockRequest::read(phys, len));
-        }
-        for &(ost, phys, len) in writes {
-            self.pending[ost].push(BlockRequest::write(phys, len));
+        let reads = reads
+            .iter()
+            .map(|&(ost, p, l)| (ost, BlockRequest::read(p, l)));
+        let writes = writes
+            .iter()
+            .map(|&(ost, p, l)| (ost, BlockRequest::write(p, l)));
+        for (ost, request) in reads.chain(writes) {
+            self.queues_mut(ost).pending.push(request);
         }
         self.try_end_round()
     }
 
-    /// Free one allocator-owned tier run (teardown commit / intent
-    /// rollback) and drop its cached blocks.
+    /// Free one allocator-owned run (tier teardown commit / intent
+    /// rollback, a remapped or truncated extent) and drop its cached
+    /// blocks.
     pub fn tier_free_run(&mut self, ost: usize, phys: u64, len: u64) {
-        self.osts[ost].alloc.free(phys, len);
-        self.array.disk_mut(ost).invalidate(phys, len);
+        self.allocator(ost).free(phys, len);
+        self.disk_mut(ost).invalidate(phys, len);
     }
 
     /// Is any block of `phys..phys + len` on `ost` mapped by a live file
@@ -979,17 +609,16 @@ impl FileSystem {
     /// back a dangling intent: a destination the files own was never the
     /// tier layer's to free.
     pub fn run_mapped_by_any_file(&self, ost: usize, phys: u64, len: u64) -> bool {
-        self.files.values().any(|f| {
-            f.ost_map
-                .iter()
-                .enumerate()
-                .filter(|&(_, &o)| o as usize == ost)
-                .any(|(col, _)| {
-                    f.trees[col]
-                        .extents()
-                        .any(|e| e.physical < phys + len && phys < e.physical + e.len)
-                })
-        })
+        for slot in self.fs.slots() {
+            let inner = slot.inner.lock().expect(POISONED);
+            for (col, tree) in inner.trees.iter().enumerate() {
+                let overlaps = |e: &Extent| e.physical < phys + len && phys < e.physical + e.len;
+                if slot.phys(col) == ost && tree.extents().any(overlaps) {
+                    return true;
+                }
+            }
+        }
+        false
     }
 
     /// Fragment the OSTs' free space: allocate scattered holes so `frac` of
@@ -1007,14 +636,14 @@ impl FileSystem {
         }
         let spacing = total / holes;
         assert!(spacing > hole_blocks, "fragmentation fraction too high");
-        for (i, ost) in self.osts.iter().enumerate() {
-            if !self.health[i].accepts_placements() {
-                continue; // absent/failed bays have no free space to age
-            }
+        // Absent/failed bays have no free space to age.
+        for ost in self.active_osts() {
             for h in 0..holes {
                 // alloc_at keeps the pattern exact; failures (group
                 // boundaries) are skipped.
-                let _ = ost.alloc.alloc_at(h * spacing, hole_blocks);
+                let _ = self
+                    .allocator(ost as usize)
+                    .alloc_at(h * spacing, hole_blocks);
             }
         }
     }
@@ -1023,50 +652,45 @@ impl FileSystem {
 
     /// Total extents of a file across all OSTs (Table I "Seg Counts").
     pub fn file_extents(&self, file: OpenFile) -> u64 {
-        self.files
-            .get(&file.0)
-            .map(|f| f.trees.iter().map(|t| t.extent_count() as u64).sum())
-            .unwrap_or(0)
+        self.fs.file_extents(file)
     }
 
     /// File size in blocks.
     pub fn file_size(&self, file: OpenFile) -> u64 {
-        self.files.get(&file.0).map(|f| f.size_blocks).unwrap_or(0)
+        self.fs.file_size(file)
     }
 
     /// Blocks physically allocated to the file (mapped blocks).
     pub fn file_allocated(&self, file: OpenFile) -> u64 {
-        self.files
-            .get(&file.0)
-            .map(|f| f.trees.iter().map(|t| t.mapped_blocks()).sum())
-            .unwrap_or(0)
+        self.fs.file_allocated(file)
     }
 
-    /// Data-path elapsed time accumulated over all rounds.
+    /// Data-path elapsed time accumulated over all rounds (and over every
+    /// front-end phase the state has been through).
     pub fn data_elapsed_ns(&self) -> Nanos {
-        self.data_elapsed_ns
+        self.fs.data_elapsed_ns()
     }
 
     /// Aggregated data-disk statistics.
     pub fn data_stats(&self) -> DiskStats {
-        self.array.stats_total()
+        let mut total = DiskStats::default();
+        (0..self.total_osts()).for_each(|i| total.absorb(self.disk(i).stats()));
+        total
     }
 
     /// Enable blktrace-style command recording on every data disk.
     pub fn enable_disk_recording(&mut self, capacity: usize) {
-        for i in 0..self.total_osts() {
-            self.array.disk_mut(i).enable_recording(capacity);
-        }
+        (0..self.total_osts()).for_each(|i| self.disk_mut(i).enable_recording(capacity));
     }
 
     /// Recorded commands of one data disk, oldest first.
     pub fn disk_events(&self, ost: usize) -> Vec<mif_simdisk::DiskEvent> {
-        self.array.disk(ost).recorder().events()
+        self.disk(ost).recorder().events()
     }
 
     /// Free blocks across all OSTs.
     pub fn free_blocks(&self) -> u64 {
-        self.osts.iter().map(|o| o.alloc.free_blocks()).sum()
+        self.fs.free_blocks()
     }
 
     /// Drop every data-disk cache (between write and read phases, so reads
@@ -1074,33 +698,22 @@ impl FileSystem {
     /// data is flushed (and charged) first.
     pub fn drop_data_caches(&mut self) {
         self.sync_data();
-        self.array.drop_caches();
+        (0..self.total_osts()).for_each(|i| self.disk_mut(i).drop_caches());
     }
 
     /// The metadata server (metadata benchmarks drive it directly).
     pub fn mds(&mut self) -> &mut Mds {
-        &mut self.mds
+        self.fs.mds.get_mut().expect(POISONED)
     }
 
     /// Metrics snapshot for the Table I harness.
     pub fn metrics(&self) -> FsMetrics {
-        let mut m = FsMetrics {
-            elapsed_ns: self.data_elapsed_ns,
-            mds_cpu_ns: self.mds_cpu_ns,
-            files: self.files.len() as u64,
-            ..Default::default()
-        };
-        for f in self.files.values() {
-            for t in &f.trees {
-                m.add_tree(t);
-            }
-        }
-        m
+        self.fs.metrics()
     }
 
     /// The inode number the MDS assigned to a file.
     pub fn ino_of(&self, file: OpenFile) -> Option<InodeNo> {
-        self.files.get(&file.0).map(|f| f.ino)
+        self.fs.with_inner(file, |f| f.ino)
     }
 
     /// The file's extent layout in one stripe column: `(column-local
@@ -1110,43 +723,36 @@ impl FileSystem {
     /// files narrower than the current population simply have no data on
     /// the extra bays.
     pub fn physical_layout(&self, file: OpenFile, col: usize) -> Vec<(u64, u64, u64)> {
-        self.files
-            .get(&file.0)
-            .and_then(|f| f.trees.get(col))
-            .map(|t| {
-                t.extents()
-                    .map(|e| (e.logical, e.physical, e.len))
-                    .collect()
-            })
+        let layout = |f: &FileInner| {
+            let extents = f.trees.get(col)?.extents();
+            Some(extents.map(|e| (e.logical, e.physical, e.len)).collect())
+        };
+        self.fs
+            .with_inner(file, layout)
+            .flatten()
             .unwrap_or_default()
     }
 
     /// Stripe-column count (width) of a file — the active OST count when
     /// it was created. 0 for unknown files.
     pub fn column_count(&self, file: OpenFile) -> usize {
-        self.files.get(&file.0).map(|f| f.trees.len()).unwrap_or(0)
+        self.fs.slot(file).map_or(0, |s| s.ost_map.len())
     }
 
     /// The physical OST currently hosting one of the file's columns.
     pub fn ost_of_column(&self, file: OpenFile, col: usize) -> Option<u32> {
-        self.files
-            .get(&file.0)
-            .and_then(|f| f.ost_map.get(col))
-            .copied()
+        self.fs.slot(file)?.ost_map.get(col).copied()
     }
 
     /// The file's full column → physical OST map.
     pub fn ost_map_of(&self, file: OpenFile) -> Vec<u32> {
-        self.files
-            .get(&file.0)
-            .map(|f| f.ost_map.clone())
-            .unwrap_or_default()
+        self.fs.slot(file).map_or(Vec::new(), |s| s.ost_map.clone())
     }
 
     /// Is a physical block on `ost` currently allocated? (visualization /
     /// diagnostics — includes preallocation windows.)
     pub fn block_allocated(&self, ost: usize, block: u64) -> bool {
-        self.osts[ost].alloc.is_allocated(block)
+        self.allocator(ost).is_allocated(block)
     }
 
     // ----- disk-population lifecycle ---------------------------------------
@@ -1155,65 +761,54 @@ impl FileSystem {
     // draining/failed/absent bays, defrag and tier route around them, fsck
     // annotates instead of false-flagging, and the scrubber walks only
     // serving bays. Transitions are validated by the
-    // [`DiskHealth::can_transition`] machine; the concurrent front-end
-    // mirrors this vector into per-shard atomics for its lock-free hot
-    // paths and serializes it back here on quiesce.
+    // [`DiskHealth::can_transition`] machine; the state itself is the
+    // engine's per-shard atomic, read lock-free by its hot paths.
 
     /// Total disk bays (active + spares), the length of every per-OST
     /// structure.
     pub fn total_osts(&self) -> usize {
-        self.config.total_osts()
+        self.fs.total_osts()
     }
 
-    /// One bay's population state.
+    /// One bay's population state. Placement consults it; IO routing and
+    /// maintenance (defrag, tier, fsck, scrub) route around non-serving
+    /// bays.
     pub fn ost_health(&self, ost: usize) -> DiskHealth {
-        self.health[ost]
+        self.fs.ost_health(ost)
     }
 
     /// All bays' population states, in bay order.
     pub fn ost_healths(&self) -> Vec<DiskHealth> {
-        self.health.clone()
+        self.fs.ost_healths()
     }
 
     /// Drive one bay through a health transition. Panics on a jump the
     /// state machine forbids (e.g. `Absent → Draining`) — lifecycle bugs
     /// must not be silently absorbed.
     pub fn set_ost_health(&mut self, ost: usize, to: DiskHealth) {
-        let from = self.health[ost];
-        assert!(
-            from.can_transition(to),
-            "illegal OST {ost} health transition {from} -> {to}"
-        );
-        self.health[ost] = to;
+        self.fs.set_ost_health(ost, to);
     }
 
     /// Bays currently accepting new placements (healthy), in bay order —
     /// the stripe target set for newly created files.
     pub fn active_osts(&self) -> Vec<u32> {
-        self.health
-            .iter()
-            .enumerate()
-            .filter(|(_, h)| h.accepts_placements())
-            .map(|(i, _)| i as u32)
-            .collect()
+        self.fs.active_osts()
     }
 
     /// Kill one bay: the device stops serving IO (reads/writes fault with
-    /// `DiskFailed`) and the bay leaves the placement set. Columns mapped
-    /// there survive in metadata; a rebuild reconstructs their bytes from
-    /// tier redundancy onto a replacement spindle.
+    /// `DiskFailed`, IO still queued toward it is lost) and the bay leaves
+    /// the placement set. Columns mapped there survive in metadata; a
+    /// rebuild reconstructs their bytes from tier redundancy onto a
+    /// replacement spindle.
     pub fn fail_ost(&mut self, ost: usize) {
-        self.set_ost_health(ost, DiskHealth::Failed);
-        self.array.disk_mut(ost).fail();
+        self.fs.fail_ost(ost);
     }
 
     /// Populate an empty bay live: a fresh spindle joins the placement
     /// set. Existing files keep their width; files created from now on
     /// stripe over the grown set.
     pub fn add_ost(&mut self, ost: usize) {
-        self.set_ost_health(ost, DiskHealth::Healthy);
-        self.array.disk_mut(ost).replace();
-        self.lifecycle.osts_added += 1;
+        self.fs.add_ost(ost);
     }
 
     /// Start evacuating one bay: it refuses *new* placements but keeps
@@ -1226,60 +821,57 @@ impl FileSystem {
     /// Complete a drain: the bay must hold no file column; it leaves the
     /// population (`Absent`) and can later be re-added.
     pub fn finish_drain(&mut self, ost: usize) {
+        let hosted = |slot: &Arc<FileSlot>| slot.ost_map.contains(&(ost as u32));
         assert!(
-            !self
-                .files
-                .values()
-                .any(|f| f.ost_map.iter().any(|&o| o as usize == ost)),
+            !self.fs.slots().iter().any(hosted),
             "finish_drain with columns still on OST {ost}"
         );
         self.set_ost_health(ost, DiskHealth::Absent);
         // Tier artifacts housed on the retired bay die with it; invalid
         // runs are reaped by maintenance and their spans re-replicated.
-        self.tier.invalidate_on_bay(ost as u32);
-        self.lifecycle.drains_completed += 1;
+        self.tier_mut().invalidate_on_bay(ost as u32);
+        self.lifecycle_mut().drains_completed += 1;
     }
 
     /// Start rebuilding a failed bay onto a replacement spindle (fresh
     /// platters, empty cache, no latent damage). The rebuild engine then
     /// rewrites lost runs from tier redundancy.
     pub fn begin_rebuild(&mut self, ost: usize) {
-        self.set_ost_health(ost, DiskHealth::Rebuilding);
-        self.array.disk_mut(ost).replace();
+        self.fs.begin_rebuild(ost);
     }
 
     /// Complete a rebuild: the bay serves and places again.
     pub fn finish_rebuild(&mut self, ost: usize) {
         self.set_ost_health(ost, DiskHealth::Healthy);
-        self.lifecycle.rebuilds_completed += 1;
+        self.lifecycle_mut().rebuilds_completed += 1;
     }
 
     /// Cumulative lifecycle counters (rebuilds, drains, scrub work).
-    pub fn lifecycle(&self) -> &LifecycleStats {
-        &self.lifecycle
+    pub fn lifecycle(&self) -> LifecycleStats {
+        self.fs.lifecycle()
     }
 
     /// Mutable lifecycle counters — the scrub/drain/rebuild drivers
     /// account their work here.
     pub fn lifecycle_mut(&mut self) -> &mut LifecycleStats {
-        &mut self.lifecycle
+        self.fs.lifecycle.get_mut().expect(POISONED)
     }
 
     /// Plant latent damage on one physical block (a grown media defect).
     /// Ordinary reads return stale bytes silently — only a scrub detects
     /// it, and any overwrite heals it. Test/bench corruption injection.
     pub fn damage_block(&mut self, ost: usize, block: u64) {
-        self.array.disk_mut(ost).corrupt_block(block);
+        self.disk_mut(ost).corrupt_block(block);
     }
 
     /// All latent-damaged blocks on one bay (oracle for tests/benches).
     pub fn damaged_blocks(&self, ost: usize) -> Vec<u64> {
-        self.array.disk(ost).damaged_blocks()
+        self.disk(ost).damaged_blocks()
     }
 
     /// Latent-damaged blocks within a physical range on one bay.
     pub fn damaged_in(&self, ost: usize, start: u64, len: u64) -> Vec<u64> {
-        self.array.disk(ost).damaged_in(start, len)
+        self.disk(ost).damaged_in(start, len)
     }
 
     /// Scrub-read a physical range on one bay: charges the media time of
@@ -1291,7 +883,7 @@ impl FileSystem {
         start: u64,
         len: u64,
     ) -> Result<Vec<u64>, IoFault> {
-        self.array.disk_mut(ost).scrub_range(start, len)
+        self.disk_mut(ost).scrub_range(start, len)
     }
 
     // ----- fsck hooks -------------------------------------------------------
@@ -1307,7 +899,7 @@ impl FileSystem {
     /// All live file handles, sorted by file id (deterministic iteration
     /// for the checker's image builder).
     pub fn file_handles(&self) -> Vec<OpenFile> {
-        let mut ids: Vec<OpenFile> = self.files.keys().map(|&id| OpenFile(id)).collect();
+        let mut ids: Vec<OpenFile> = self.fs.slots().iter().map(|s| OpenFile(s.id)).collect();
         ids.sort_by_key(|f| f.0 .0);
         ids
     }
@@ -1315,20 +907,19 @@ impl FileSystem {
     /// The file's starting-OST rotation (checker reconstructs global
     /// logical offsets from per-OST local ones).
     pub fn ost_shift_of(&self, file: OpenFile) -> Option<u32> {
-        self.files.get(&file.0).map(|f| f.ost_shift)
+        self.fs.slot(file).map(|s| s.ost_shift)
     }
 
     /// One OST's block allocator (checker bitmap snapshots).
     pub fn allocator(&self, ost: usize) -> &GroupedAllocator {
-        &self.osts[ost].alloc
+        &self.fs.shards[ost].alloc
     }
 
     /// The striping function a file was created under (width = its column
     /// count; stripe unit from the config).
     pub fn striping_of(&self, file: OpenFile) -> Option<Striping> {
-        self.files
-            .get(&file.0)
-            .map(|f| f.striping(self.config.stripe_blocks))
+        let slot = self.fs.slot(file)?;
+        Some(slot.striping(self.config.stripe_blocks))
     }
 
     /// Release every file's unconsumed preallocations on all OSTs. Offline
@@ -1336,18 +927,18 @@ impl FileSystem {
     /// in-memory preallocation ranges at recovery — so reservation windows
     /// are not misread as leaked blocks.
     pub fn release_preallocations(&mut self) {
-        let ids: Vec<FileId> = self.files.keys().copied().collect();
-        for ost in &mut self.osts {
-            for &id in &ids {
-                ost.policy.finalize(&ost.alloc, id);
-            }
+        let ids = self.file_handles();
+        for shard in &mut self.fs.shards {
+            let policy = shard.policy.get_mut().expect(POISONED);
+            ids.iter()
+                .for_each(|id| policy.finalize(&shard.alloc, id.0));
         }
     }
 
     /// Corruption injection: force one allocator bitmap bit on `ost` to
     /// `set`, bypassing the double-op guards. Returns whether it changed.
     pub fn corrupt_bitmap(&mut self, ost: usize, block: u64, set: bool) -> bool {
-        self.osts[ost].alloc.force_bit(block, set)
+        self.allocator(ost).force_bit(block, set)
     }
 
     /// Corruption injection: silently remap the extent covering `logical`
@@ -1361,7 +952,7 @@ impl FileSystem {
         logical: u64,
         new_phys: u64,
     ) -> Option<u64> {
-        self.files.get_mut(&file.0)?.trees[col].corrupt_set_physical(logical, new_phys)
+        self.inner_mut(file)?.trees[col].corrupt_set_physical(logical, new_phys)
     }
 
     /// Fsck repair: drop the mapping for a logical range *without freeing
@@ -1375,14 +966,11 @@ impl FileSystem {
         logical: u64,
         len: u64,
     ) -> u64 {
-        let Some(state) = self.files.get_mut(&file.0) else {
+        let Some(inner) = self.inner_mut(file) else {
             return 0;
         };
-        state.trees[col]
-            .remove(logical, len)
-            .iter()
-            .map(|&(_, l)| l)
-            .sum()
+        let unmapped = inner.trees[col].remove(logical, len);
+        unmapped.iter().map(|&(_, l)| l).sum()
     }
 
     /// Fsck repair: adopt orphaned physical runs (allocated in the bitmap
@@ -1391,26 +979,25 @@ impl FileSystem {
     /// so conservation (free + mapped == total) is restored without
     /// guessing which file the blocks belonged to. Returns the handle.
     pub fn fsck_adopt_orphan_runs(&mut self, ost: usize, runs: &[(u64, u64)]) -> OpenFile {
-        let lf = self
-            .files
-            .iter()
-            .find(|(_, f)| f.name == "lost+found")
-            .map(|(&id, _)| OpenFile(id))
-            .unwrap_or_else(|| self.create("lost+found", None));
-        let state = self.files.get_mut(&lf.0).expect("lost+found exists");
+        let named = |slot: &mut FileSlot| {
+            (slot.inner.get_mut().expect(POISONED).name == "lost+found").then_some(slot.id)
+        };
+        let found = self.slots_mut().find_map(named);
+        let lf = found.map_or_else(|| self.create("lost+found", None), OpenFile);
+        let slot = self.slot_mut(lf).expect("lost+found exists");
+        let inner = slot.inner.get_mut().expect(POISONED);
         // Adopt into the column living on the orphans' physical OST; if
         // lost+found has no column there (the bay joined after it was
         // created, or was draining then), append one — widths are
         // per-file, so growing this file's map is legal.
-        let col = match state.ost_map.iter().position(|&o| o as usize == ost) {
+        let col = match slot.ost_map.iter().position(|&o| o as usize == ost) {
             Some(c) => c,
             None => {
-                state.ost_map.push(ost as u32);
-                state.trees.push(ExtentTree::new());
-                state.trees.len() - 1
+                slot.ost_map.push(ost as u32);
+                inner.push_column()
             }
         };
-        let tree = &mut state.trees[col];
+        let tree = &mut inner.trees[col];
         let mut logical = tree.logical_size();
         for &(phys, len) in runs {
             tree.insert(Extent::new(logical, phys, len));
@@ -1481,8 +1068,7 @@ mod tests {
         f.write(file, s, 0, 512);
         f.end_round();
         f.sync_data();
-        let per_disk = f.array.stats_per_disk();
-        assert!(per_disk.iter().all(|d| d.bytes_written > 0));
+        assert!((0..2).all(|i| f.disk(i).stats().bytes_written > 0));
     }
 
     #[test]
@@ -1834,7 +1420,7 @@ mod tests {
         }
         f.sync_data();
         f.close(file);
-        let old_runs = f.files[&file.0].trees[0].resolve(0, 4 * 64);
+        let old_runs = f.inner_mut(file).unwrap().trees[0].resolve(0, 4 * 64);
         assert!(old_runs.len() > 1, "fragmented on purpose");
         let total: u64 = old_runs.iter().map(|r| r.1).sum();
         let dest = f.allocator(0).probe_run(0, total).expect("space exists");
@@ -1846,7 +1432,7 @@ mod tests {
         assert!(t > 0, "copy IO is charged");
         assert!(f.defrag_apply_remap(file, 0, 0, 4 * 64, 0, dest, total));
         assert_eq!(
-            f.files[&file.0].trees[0].resolve(0, 4 * 64),
+            f.inner_mut(file).unwrap().trees[0].resolve(0, 4 * 64),
             vec![(dest, total)]
         );
         // Redo (WAL replay after crash-post-commit) is a no-op.
@@ -1882,7 +1468,7 @@ mod tests {
         f.round(|f| f.write(wide, s, 0, 3 * 256));
         f.sync_data();
         assert_eq!(f.file_allocated(wide), 3 * 256);
-        assert!(f.array.disk(2).stats().bytes_written > 0);
+        assert!(f.disk(2).stats().bytes_written > 0);
     }
 
     #[test]
@@ -1908,8 +1494,42 @@ mod tests {
     #[test]
     #[should_panic(expected = "illegal OST")]
     fn illegal_health_transition_panics() {
-        let mut f = FileSystem::new(FsConfig::with_policy(PolicyKind::Reservation, 2));
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let mut cfg = FsConfig::with_policy(PolicyKind::Reservation, 2);
+        cfg.spare_osts = 1;
+        let mut f = FileSystem::new(cfg);
+        // The transition is validated before the device is touched: an
+        // empty bay cannot fail, a healthy one cannot be swapped.
+        assert!(catch_unwind(AssertUnwindSafe(|| f.fail_ost(2))).is_err());
+        assert!(!f.disk(2).failed(), "Absent -> Failed refused, disk alive");
+        assert_eq!(f.ost_health(2), DiskHealth::Absent);
+        f.damage_block(0, 5);
+        assert!(catch_unwind(AssertUnwindSafe(|| f.begin_rebuild(0))).is_err());
+        assert_eq!(f.damaged_blocks(0), vec![5], "platters not replaced");
+        assert_eq!(f.ost_health(0), DiskHealth::Healthy);
         f.set_ost_health(0, DiskHealth::Rebuilding); // Healthy -> Rebuilding: no
+    }
+
+    /// The servers are independent and every one of them is asked at every
+    /// submission, so a dead bay faults a round that queued nothing for it
+    /// — while the live bays' batches are serviced and the round closes.
+    #[test]
+    fn a_round_asks_every_server() {
+        let mut f = FileSystem::new(FsConfig::with_policy(PolicyKind::Reservation, 3));
+        f.fail_ost(2);
+        let file = f.create("narrow", None);
+        assert_eq!(f.ost_map_of(file), vec![0, 1], "no column on the dead bay");
+        let s = StreamId::new(1, 0);
+        f.begin_round();
+        f.write(file, s, 0, 512);
+        assert_eq!(f.try_end_round(), Err((2, IoFault::DiskFailed)));
+        // The flush is a submission too; bays 0 and 1 take their sweeps.
+        assert_eq!(f.try_sync_data(), Err((2, IoFault::DiskFailed)));
+        assert!((0..2).all(|i| f.disk(i).stats().bytes_written > 0));
+        assert_eq!(f.disk(2).stats().bytes_written, 0);
+        f.begin_round(); // the faulted round was closed
+        f.read(file, s, 0, 512);
+        assert_eq!(f.try_end_round(), Err((2, IoFault::DiskFailed)));
     }
 
     #[test]

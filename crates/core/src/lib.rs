@@ -7,8 +7,12 @@
 //! policies; a metadata server tracks files and layouts and its CPU cost
 //! scales with the extent count (Table I).
 //!
-//! * [`FileSystem`] — the facade: create/open/write/read/close/unlink plus
-//!   round-based submission that models concurrent arrival order;
+//! * [`ConcurrentFs`] — the engine: the one copy of the state, sharded
+//!   per OST and per file, shared by reference across client threads;
+//! * [`FileSystem`] — the round schedule over that state:
+//!   create/open/write/read/close/unlink plus round-based submission
+//!   that models concurrent arrival order, and the exclusive-owner hooks
+//!   fsck, defrag, tier and scrub enter through;
 //! * [`striping`] — file logical blocks → (OST, OST-local block);
 //! * [`collective`] — two-phase collective I/O aggregation (the ~40 MB
 //!   requests the paper profiles in §V-C.2);

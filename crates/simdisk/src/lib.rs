@@ -20,10 +20,11 @@
 //! * readahead ([`Readahead`]) — a Linux-style window that doubles on
 //!   sequentially-detected reads, populating the [`BlockCache`]; this is the
 //!   kernel behaviour the paper credits for merging individual
-//!   `readdir-stat` operations into large disk reads (§V-D.1);
-//! * [`DiskArray`] — a set of independent disks (the paper's JBOD) over
-//!   which the file system stripes data; elapsed time of a parallel phase is
-//!   gated by the busiest disk.
+//!   `readdir-stat` operations into large disk reads (§V-D.1).
+//!
+//! The paper's JBOD is a set of independent [`Disk`]s: the file system
+//! (`mif-core`) stripes data over them, one per IO server, and the elapsed
+//! time of a parallel phase is gated by the busiest disk.
 //!
 //! Simulated time is in nanoseconds (`u64`). The default geometry is
 //! calibrated to the paper's testbed disks (~170 MB/s sequential media rate,
@@ -53,7 +54,6 @@
 //! assert!(mib_per_sec(bytes, t_seq) > 100.0); // near the 170 MB/s media rate
 //! ```
 
-pub mod array;
 pub mod cache;
 pub mod disk;
 pub mod events;
@@ -66,7 +66,6 @@ pub mod request;
 pub mod scheduler;
 pub mod stats;
 
-pub use array::DiskArray;
 pub use cache::BlockCache;
 pub use disk::Disk;
 pub use events::{DiskEvent, EventRecorder};

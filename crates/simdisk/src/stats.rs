@@ -45,8 +45,7 @@ impl DiskStats {
         }
     }
 
-    /// Merge another stats block into this one (used by [`crate::DiskArray`]
-    /// to aggregate).
+    /// Merge another stats block into this one (totals over a set of disks).
     pub fn absorb(&mut self, other: &DiskStats) {
         self.submitted += other.submitted;
         self.dispatched += other.dispatched;

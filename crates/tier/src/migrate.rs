@@ -153,7 +153,8 @@ impl TierEngine {
         let mut stats = MaintenanceStats::default();
 
         // 1. Lazy teardown of runs the write path invalidated.
-        for run in fs.tier().invalid_runs() {
+        let invalid = fs.tier().invalid_runs();
+        for run in invalid {
             drop_run(fs, &mut self.wal, run);
             stats.dropped_runs += 1;
         }

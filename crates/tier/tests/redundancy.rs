@@ -162,7 +162,8 @@ fn unlink_after_teardown_leaves_a_clean_fs() {
     encode_file(&mut fs, &mut wal, f).unwrap();
     assert!(!fs.tier().is_empty());
 
-    for run in fs.tier().runs_of_file(f.0 .0) {
+    let runs = fs.tier().runs_of_file(f.0 .0);
+    for run in runs {
         drop_run(&mut fs, &mut wal, run);
     }
     assert!(fs.tier().is_empty());
