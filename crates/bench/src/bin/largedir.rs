@@ -12,7 +12,7 @@
 //! the disk performance" under hashed-pathname distribution (§IV-D).
 
 use mif_bench::{expectation, section, Table};
-use mif_mds::{DirMode, Distribution, MdsCluster, ShardedConfig, ShardedMds};
+use mif_mds::{DirMode, Distribution, MdsCluster, ShardedMds};
 
 fn main() {
     // ---- §IV-C: the checkpoint directory ---------------------------------
@@ -132,7 +132,7 @@ fn main() {
     const CAL_FILES: u32 = 20_000;
     const TARGET: u64 = 20_000_000;
     for shards in [2usize, 4, 8] {
-        let mut m = ShardedMds::new(ShardedConfig::with_shards(shards));
+        let mut m = ShardedMds::new(shards);
         let d = m.mkdir_striped("ckpt");
         let t0 = m.client_ns();
         for i in 0..CAL_FILES {

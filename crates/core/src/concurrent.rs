@@ -105,7 +105,7 @@ use mif_alloc::{
     ReservationPolicy, StreamId,
 };
 use mif_extent::{Extent, ExtentTree};
-use mif_mds::{encode_write_record, GroupCommitWal, InodeNo, Mds, ShardMap, WriteCommit, ROOT_INO};
+use mif_mds::{encode_write_record, GroupCommitWal, InodeNo, Mds, WriteCommit, ROOT_INO};
 use mif_simdisk::{
     BlockRequest, Disk, DiskHealth, DiskStats, FaultPlan, FaultStats, IoFault, Nanos,
     SharedDiskStats,
@@ -117,6 +117,10 @@ use std::sync::{Arc, Mutex, RwLock};
 
 /// Stripes in the MDS namespace lock table.
 const MDS_STRIPES: usize = 16;
+
+/// CPU cost charged to the MDS per extent handled (merge + index), in
+/// nanoseconds — the Table I CPU-utilization proxy.
+const MDS_CPU_NS_PER_EXTENT: u64 = 50_000;
 
 /// Why a `get_mut` / `lock` on engine state can fail at all.
 pub(crate) const POISONED: &str = "a thread panicked holding engine state";
@@ -472,23 +476,10 @@ impl ConcurrentFs {
         self.files.read().unwrap().values().cloned().collect()
     }
 
-    /// The namespace stripe guarding `name`, after shard routing. With
-    /// `mds_shards <= 1` the whole table is one flat hash space; with more,
-    /// the table is partitioned into per-shard regions and the name first
-    /// routes through the same stable [`ShardMap`] placement the sharded
-    /// MDS uses (dir 0 = the root), then hashes within its region — so
-    /// operations on names homed on different shards can never collide on
-    /// a stripe.
+    /// The namespace stripe guarding `name`: one flat hash space over
+    /// the whole table.
     fn stripe_index(&self, name: &str) -> usize {
-        let stripes = self.mds_stripes.len();
-        let shards = self.config.mds_shards.max(1);
-        if shards <= 1 {
-            return Mds::name_stripe(ROOT_INO, name, stripes);
-        }
-        let per = (stripes / shards).max(1);
-        let regions = stripes / per;
-        let base = (ShardMap::new(shards).shard_of_entry(0, name) % regions) * per;
-        base + Mds::name_stripe(ROOT_INO, name, per)
+        Mds::name_stripe(ROOT_INO, name, self.mds_stripes.len())
     }
 
     fn stripe_guard(&self, name: &str) -> (lockorder::LockToken, std::sync::MutexGuard<'_, ()>) {
@@ -1007,7 +998,7 @@ impl ConcurrentFs {
                 }
                 let added = tree.extent_count().saturating_sub(before) as u64;
                 self.mds_cpu_ns
-                    .fetch_add(added * self.config.mds_cpu_ns_per_extent, Ordering::Relaxed);
+                    .fetch_add(added * MDS_CPU_NS_PER_EXTENT, Ordering::Relaxed);
             }
             match reprimed {
                 Some(Some(w)) => {
@@ -1281,10 +1272,8 @@ impl ConcurrentFs {
                             logical += l;
                         }
                         let added = tree.extent_count().saturating_sub(before) as u64;
-                        self.mds_cpu_ns.fetch_add(
-                            added * self.config.mds_cpu_ns_per_extent,
-                            Ordering::Relaxed,
-                        );
+                        self.mds_cpu_ns
+                            .fetch_add(added * MDS_CPU_NS_PER_EXTENT, Ordering::Relaxed);
                         self.queue_writes(phys_ost, |push| {
                             allocated.iter().for_each(|&(phys, l)| push(phys, l))
                         });
@@ -2185,12 +2174,10 @@ mod tests {
 
     #[test]
     fn opposing_renames_do_not_deadlock() {
-        // a→b racing c→a across many shard-routed stripes: the ascending
-        // stripe-index acquisition makes the double-guard safe no matter
-        // which stripes the names hash into.
-        let mut config = cfg(PolicyKind::OnDemand);
-        config.mds_shards = 4;
-        let fs = Arc::new(ConcurrentFs::new(config));
+        // a→b racing c→a across many stripes: the ascending stripe-index
+        // acquisition makes the double-guard safe no matter which stripes
+        // the names hash into.
+        let fs = Arc::new(ConcurrentFs::new(cfg(PolicyKind::OnDemand)));
         for round in 0..16u32 {
             let a = fs.create(&format!("left{round}"), None);
             let b = fs.create(&format!("right{round}"), None);
@@ -2225,18 +2212,5 @@ mod tests {
             .collect();
         assert_eq!(survivors.len(), 1, "one final name: {survivors:?}");
         assert!(fs.open("start").is_none());
-    }
-
-    #[test]
-    fn shard_routed_stripes_stay_in_range_and_stable() {
-        let mut config = cfg(PolicyKind::OnDemand);
-        config.mds_shards = 3;
-        let fs = ConcurrentFs::new(config);
-        for i in 0..64 {
-            let name = format!("f{i}");
-            let idx = fs.stripe_index(&name);
-            assert!(idx < MDS_STRIPES);
-            assert_eq!(idx, fs.stripe_index(&name), "routing is pure");
-        }
     }
 }

@@ -40,22 +40,10 @@ pub struct FsConfig {
     pub writeback_limit_blocks: u64,
     /// Metadata server configuration.
     pub mds: MdsConfig,
-    /// CPU cost charged to the MDS per extent handled (merge + index), in
-    /// nanoseconds — the Table I CPU-utilization proxy.
-    pub mds_cpu_ns_per_extent: u64,
     /// Staging-slab capacity of the group-commit WAL, in records. Small
     /// slabs exercise backpressure (appenders park and drain); the default
     /// comfortably covers a sync interval of writes from many threads.
     pub wal_slab_records: usize,
-    /// Metadata-namespace shards the concurrent front-end routes over. With
-    /// `1` (the default) every name hashes into one flat stripe table; with
-    /// more, the stripe table is partitioned into per-shard regions via
-    /// [`mif_mds::ShardMap`] — the same stable dir/name → shard placement
-    /// the sharded MDS uses — so namespace operations on different shards
-    /// never contend on a stripe, and a cross-shard rename provably orders
-    /// its two stripe guards by ascending index (see
-    /// `mif_alloc::lockorder::acquire_indexed`).
-    pub mds_shards: usize,
 }
 
 impl Default for FsConfig {
@@ -79,9 +67,7 @@ impl Default for FsConfig {
             data_cache_blocks: 65536,
             writeback_limit_blocks: 16384,
             mds: MdsConfig::default(),
-            mds_cpu_ns_per_extent: 50_000,
             wal_slab_records: 1024,
-            mds_shards: 1,
         }
     }
 }

@@ -21,26 +21,12 @@ use mif_core::{DiskHealth, FileSystem, OpenFile};
 use mif_mds::RemapWal;
 use mif_simdisk::Nanos;
 
-/// Throttle knobs for one [`drain_ost`] pass.
-#[derive(Debug, Clone, Copy)]
-pub struct DrainConfig {
-    /// Block-move budget per tick (copy cost ceiling).
-    pub budget_blocks_per_tick: u64,
-    /// Per-dispatch service time above which the driver backs off.
-    pub latency_backoff_ns: Nanos,
-    /// Hard cap on ticks — a stuck drain (no space anywhere) terminates.
-    pub max_ticks: u64,
-}
-
-impl Default for DrainConfig {
-    fn default() -> Self {
-        Self {
-            budget_blocks_per_tick: 8192,
-            latency_backoff_ns: 40_000_000,
-            max_ticks: 4096,
-        }
-    }
-}
+/// Block-move budget per tick (copy cost ceiling).
+const BUDGET_BLOCKS_PER_TICK: u64 = 8192;
+/// Per-dispatch service time above which the driver backs off.
+const LATENCY_BACKOFF_NS: Nanos = 40_000_000;
+/// Hard cap on ticks — a stuck drain (no space anywhere) terminates.
+const MAX_TICKS: u64 = 4096;
 
 /// The budget never shrinks below this, so progress cannot stall.
 const MIN_BUDGET_BLOCKS: u64 = 64;
@@ -73,12 +59,7 @@ pub struct DrainStats {
 /// the drain (`Draining → Absent`). Returns what happened; an incomplete
 /// drain (`completed == false`, out of ticks or out of space) leaves the
 /// bay `Draining` — call again after freeing space.
-pub fn drain_ost(
-    fs: &mut FileSystem,
-    wal: &mut RemapWal,
-    ost: usize,
-    cfg: &DrainConfig,
-) -> DrainStats {
+pub fn drain_ost(fs: &mut FileSystem, wal: &mut RemapWal, ost: usize) -> DrainStats {
     assert!(
         fs.ost_health(ost) == DiskHealth::Draining || fs.ost_health(ost) == DiskHealth::Healthy,
         "drain of a {} bay",
@@ -90,7 +71,7 @@ pub fn drain_ost(
     fs.release_preallocations();
 
     let mut stats = DrainStats::default();
-    let mut budget = cfg.budget_blocks_per_tick.max(MIN_BUDGET_BLOCKS);
+    let mut budget = BUDGET_BLOCKS_PER_TICK;
     loop {
         // Columns still on the bay, re-scanned each tick: relocations
         // rewrite ost_maps as they go.
@@ -109,7 +90,7 @@ pub fn drain_ost(
         if work.is_empty() {
             break;
         }
-        if stats.ticks >= cfg.max_ticks {
+        if stats.ticks >= MAX_TICKS {
             return stats; // bay stays Draining; caller retries
         }
         stats.ticks += 1;
@@ -156,11 +137,11 @@ pub fn drain_ost(
         // Foreground-latency sample, as in the defrag scheduler.
         let delta = fs.data_stats().since(&tick_start);
         let mean_ns = delta.busy_ns.checked_div(delta.dispatched).unwrap_or(0);
-        if mean_ns > cfg.latency_backoff_ns {
+        if mean_ns > LATENCY_BACKOFF_NS {
             stats.backoffs += 1;
             budget = (budget / 2).max(MIN_BUDGET_BLOCKS);
-        } else if budget < cfg.budget_blocks_per_tick {
-            budget = (budget * 2).min(cfg.budget_blocks_per_tick);
+        } else if budget < BUDGET_BLOCKS_PER_TICK {
+            budget = (budget * 2).min(BUDGET_BLOCKS_PER_TICK);
         }
     }
     let lc = fs.lifecycle_mut();
@@ -207,7 +188,7 @@ mod tests {
         let (mut fs, files) = populated_fs(4);
         let sizes: Vec<u64> = files.iter().map(|&f| fs.file_allocated(f)).collect();
         let mut wal = RemapWal::new();
-        let stats = drain_ost(&mut fs, &mut wal, 1, &DrainConfig::default());
+        let stats = drain_ost(&mut fs, &mut wal, 1);
         assert!(stats.completed, "{stats:?}");
         assert!(stats.columns_moved > 0);
         assert_eq!(fs.ost_health(1), DiskHealth::Absent);
@@ -232,7 +213,7 @@ mod tests {
     fn drained_bay_can_be_readded_and_serves_new_files() {
         let (mut fs, _) = populated_fs(3);
         let mut wal = RemapWal::new();
-        let stats = drain_ost(&mut fs, &mut wal, 0, &DrainConfig::default());
+        let stats = drain_ost(&mut fs, &mut wal, 0);
         assert!(stats.completed);
         fs.add_ost(0);
         assert_eq!(fs.ost_health(0), DiskHealth::Healthy);
@@ -256,7 +237,7 @@ mod tests {
         fs.sync_data();
         fs.close(f);
         let mut wal = RemapWal::new();
-        let stats = drain_ost(&mut fs, &mut wal, 2, &DrainConfig::default());
+        let stats = drain_ost(&mut fs, &mut wal, 2);
         assert!(stats.completed);
         assert!(stats.columns_retargeted >= 1, "{stats:?}");
         assert!(!fs.ost_map_of(f).contains(&2));

@@ -49,7 +49,7 @@ pub mod relocate;
 pub mod scanner;
 pub mod scheduler;
 
-pub use drain::{drain_ost, DrainConfig, DrainStats};
+pub use drain::{drain_ost, DrainStats};
 pub use relocate::{
     is_packed, recover, relocate_column, relocate_ost, CrashPoint, DefragRecovery, Outcome,
     SkipReason,

@@ -56,20 +56,6 @@ pub const ALL_CLASSES: [CorruptionClass; 10] = [
     CorruptionClass::TierParityMissing,
 ];
 
-impl CorruptionClass {
-    /// Does this class corrupt the metadata path (needs embedded mode)?
-    pub fn is_metadata(self) -> bool {
-        !matches!(
-            self,
-            CorruptionClass::BitmapLeak
-                | CorruptionClass::BitmapHole
-                | CorruptionClass::ExtentOverlap
-                | CorruptionClass::TierStaleSource
-                | CorruptionClass::TierParityMissing
-        )
-    }
-}
-
 impl std::fmt::Display for CorruptionClass {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(match self {

@@ -375,9 +375,8 @@ mod tests {
 
     #[test]
     fn run_sharded_repairs_cross_shard_damage() {
-        use mif_mds::ShardedConfig;
         let build = || {
-            let mut c = ShardedMds::new(ShardedConfig::with_shards(4));
+            let mut c = ShardedMds::new(4);
             let big = c.mkdir_striped("big");
             let other = c.mkdir("other");
             for i in 0..32 {

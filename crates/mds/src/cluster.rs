@@ -24,6 +24,10 @@ use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 
+/// One-way network latency per client/server or server/server hop: 100 µs
+/// (GbE RTT/2 class). Shared by [`MdsCluster`] and the sharded namespace.
+pub(crate) const NETWORK_HOP_NS: Nanos = 100_000;
+
 /// How metadata objects are spread over the cluster.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Distribution {
@@ -83,8 +87,6 @@ pub struct MdsCluster {
     distribution: Distribution,
     /// Whether striped directories keep a name-hash index at the primary.
     pub primary_hash_index: bool,
-    /// One-way network latency per hop, in ns.
-    pub network_ns: Nanos,
     dirs: HashMap<String, ClusterDir>,
     /// Per-server flat table used by the hashed-path distribution: every
     /// directory's entries interleave in it, which is exactly why the
@@ -106,7 +108,6 @@ impl MdsCluster {
             servers,
             distribution,
             primary_hash_index: true,
-            network_ns: 100_000, // 100 µs per hop (GbE RTT/2 class)
             dirs: HashMap::new(),
             flat_inos: vec![None; n],
             stats: ClusterStats::default(),
@@ -134,7 +135,7 @@ impl MdsCluster {
     fn charge(&mut self, hops: u64, disk_ns: Nanos) {
         self.stats.hops += hops;
         self.stats.ops += 1;
-        self.client_ns += hops * self.network_ns + disk_ns;
+        self.client_ns += hops * NETWORK_HOP_NS + disk_ns;
     }
 
     /// Which server handles `name` inside `dir`?
@@ -380,10 +381,6 @@ impl MdsCluster {
     /// Total disk accesses across all servers.
     pub fn disk_accesses(&self) -> u64 {
         self.servers.iter().map(|s| s.disk_stats().dispatched).sum()
-    }
-
-    pub fn server_count(&self) -> usize {
-        self.servers.len()
     }
 
     /// Drop every server's block cache (cold-cache measurement phases).

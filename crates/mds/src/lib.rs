@@ -76,8 +76,8 @@ pub use mds::{DirMode, Mds, MdsConfig, MdsStats};
 pub use normal::NormalStore;
 pub use replay::{LoggedOp, OpLog};
 pub use shard::{
-    OpHeadTable, ShardFinding, ShardSeat, ShardStats, ShardedConfig, ShardedMds, StormReport,
-    XsCrashPoint,
+    OpHeadTable, ShardFinding, ShardSeat, ShardStats, ShardedMds, StormReport, XsCrashPoint,
+    MAX_CAS_RETRIES,
 };
 pub use store::{DataArea, OpEffect, ReadSet};
 pub use wal::{

@@ -50,29 +50,29 @@ impl std::fmt::Display for DirMode {
 pub struct MdsConfig {
     pub mode: DirMode,
     pub layout: MdsLayout,
-    /// Checkpoint dirty metadata every this many mutations.
-    pub checkpoint_every: usize,
     /// MDS block-cache capacity in blocks.
     pub cache_blocks: usize,
     /// Embedded mode only: stuff layout mappings into directory content
     /// (false = inode-only embedding, for ablation).
     pub embedded_stuffing: bool,
-    /// Client↔MDS round-trip cost charged per operation, in ns. Not part
-    /// of the disk clock; see [`Mds::total_elapsed_ns`]. This is what the
-    /// aggregated operation pairs of §II-A.2 (readdirplus, open-getlayout)
-    /// save.
-    pub rpc_ns: u64,
 }
+
+/// Checkpoint dirty metadata every this many mutations.
+const CHECKPOINT_EVERY: usize = 64;
+
+/// Client↔MDS round-trip cost charged per operation, in ns. Not part of
+/// the disk clock; see [`Mds::total_elapsed_ns`]. This is what the
+/// aggregated operation pairs of §II-A.2 (readdirplus, open-getlayout)
+/// save.
+const RPC_NS: u64 = 300_000;
 
 impl Default for MdsConfig {
     fn default() -> Self {
         Self {
             mode: DirMode::Normal,
             layout: MdsLayout::default(),
-            checkpoint_every: 64,
             cache_blocks: 1024,
             embedded_stuffing: true,
-            rpc_ns: 300_000,
         }
     }
 }
@@ -180,7 +180,7 @@ impl Mds {
 
     /// Charge one client↔MDS round trip.
     fn rpc(&mut self) {
-        self.rpc_ns_total += self.config.rpc_ns;
+        self.rpc_ns_total += RPC_NS;
     }
 
     /// Apply an effect: execute reads in order, journal, track dirty
@@ -229,7 +229,7 @@ impl Mds {
             }
             self.dirty.extend(eff.dirty.iter().copied());
             self.muts_since_checkpoint += 1;
-            if self.muts_since_checkpoint >= self.config.checkpoint_every {
+            if self.muts_since_checkpoint >= CHECKPOINT_EVERY {
                 self.try_checkpoint()?;
             }
         } else {
@@ -284,7 +284,7 @@ impl Mds {
     // ----- fault injection ------------------------------------------------
 
     /// Install a seeded fault plan on the MDS disk. Once installed, use the
-    /// `try_*` operation variants — the infallible ones panic on a fault.
+    /// `try_*` variants — the infallible ones panic on a fault.
     pub fn install_faults(&mut self, plan: FaultPlan) {
         self.disk.install_faults(plan);
     }
@@ -309,26 +309,10 @@ impl Mds {
         self.disk.power_restore();
     }
 
-    // ----- fallible operations -------------------------------------------
-    //
-    // Same semantics as the infallible variants below, but an injected
-    // disk fault is returned instead of panicking. The in-memory store has
-    // executed the operation either way; `Err` means the journal (or a
-    // triggered checkpoint) did not make it durable.
-
-    /// Fallible [`Mds::mkdir`].
-    pub fn try_mkdir(&mut self, parent: InodeNo, name: &str) -> Result<InodeNo, IoFault> {
-        self.stats.mkdirs += 1;
-        self.rpc();
-        let (ino, eff) = match &mut self.store {
-            Store::Normal(s) => s.mkdir(&mut self.data, parent, name),
-            Store::Embedded(s) => s.mkdir(&mut self.data, parent, name),
-        };
-        self.try_apply(eff)?;
-        Ok(ino)
-    }
-
-    /// Fallible [`Mds::create`].
+    /// Fallible [`Mds::create`]: an injected disk fault is returned
+    /// instead of panicking. The in-memory store has executed the create
+    /// either way; `Err` means the journal (or a triggered checkpoint) did
+    /// not make it durable.
     pub fn try_create(
         &mut self,
         parent: InodeNo,
@@ -343,53 +327,6 @@ impl Mds {
         };
         self.try_apply(eff)?;
         Ok(ino)
-    }
-
-    /// Fallible [`Mds::utime`].
-    pub fn try_utime(&mut self, parent: InodeNo, name: &str) -> Result<(), IoFault> {
-        self.stats.utimes += 1;
-        self.rpc();
-        let eff = match &mut self.store {
-            Store::Normal(s) => s.utime(parent, name),
-            Store::Embedded(s) => s.utime(parent, name),
-        };
-        self.try_apply(eff)
-    }
-
-    /// Fallible [`Mds::unlink`].
-    pub fn try_unlink(&mut self, parent: InodeNo, name: &str) -> Result<(), IoFault> {
-        self.stats.unlinks += 1;
-        self.rpc();
-        let eff = match &mut self.store {
-            Store::Normal(s) => s.unlink(&mut self.data, parent, name),
-            Store::Embedded(s) => s.unlink(&mut self.data, parent, name),
-        };
-        self.try_apply(eff)
-    }
-
-    /// Fallible [`Mds::rename`].
-    pub fn try_rename(
-        &mut self,
-        src: InodeNo,
-        name: &str,
-        dst: InodeNo,
-        new_name: &str,
-    ) -> Result<Option<InodeNo>, IoFault> {
-        self.stats.renames += 1;
-        self.rpc();
-        match &mut self.store {
-            Store::Normal(s) => {
-                let (ino, _) = s.lookup(src, name);
-                let eff = s.rename(&mut self.data, src, name, dst, new_name);
-                self.try_apply(eff)?;
-                Ok(ino)
-            }
-            Store::Embedded(s) => {
-                let (ino, eff) = s.rename(&mut self.data, src, name, dst, new_name);
-                self.try_apply(eff)?;
-                Ok(ino)
-            }
-        }
     }
 
     // ----- operations ---------------------------------------------------
@@ -407,14 +344,8 @@ impl Mds {
 
     /// Create a file whose layout mapping holds `extents` units.
     pub fn create(&mut self, parent: InodeNo, name: &str, extents: u32) -> InodeNo {
-        self.stats.creates += 1;
-        self.rpc();
-        let (ino, eff) = match &mut self.store {
-            Store::Normal(s) => s.create(&mut self.data, parent, name, extents),
-            Store::Embedded(s) => s.create(&mut self.data, parent, name, extents),
-        };
-        self.apply(eff);
-        ino
+        self.try_create(parent, name, extents)
+            .unwrap_or_else(|f| panic!("unhandled MDS disk fault on infallible path: {f}"))
     }
 
     pub fn lookup(&mut self, parent: InodeNo, name: &str) -> Option<InodeNo> {

@@ -27,6 +27,7 @@
 //! paths. Recovering a recovered image is therefore idempotent by
 //! construction.
 
+use crate::cluster::NETWORK_HOP_NS;
 use crate::dirtable::ShardMap;
 use crate::ids::{InodeNo, ROOT_INO};
 use crate::mds::{DirMode, Mds, MdsConfig};
@@ -35,46 +36,11 @@ use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 
-/// Sharded-cluster configuration.
-#[derive(Debug, Clone, Copy)]
-pub struct ShardedConfig {
-    /// Number of MDS shards.
-    pub shards: usize,
-    /// Directory-inode mode of every shard (the paper's §IV embedded
-    /// mode is the default — that surviving distribution is the point).
-    pub mode: DirMode,
-    /// Keep the §IV-C primary hash index on a striped directory's home
-    /// shard. Off, entry lookups broadcast to every shard.
-    pub primary_hash_index: bool,
-    /// Attempt budget for the cross-shard CAS loop.
-    pub max_cas_retries: u32,
-    /// Simulated one-way network hop cost.
-    pub network_ns: u64,
-    /// Simulated durable-WAL-record cost.
-    pub wal_record_ns: u64,
-}
+/// Attempt budget for the cross-shard CAS loop.
+pub const MAX_CAS_RETRIES: u32 = 64;
 
-impl Default for ShardedConfig {
-    fn default() -> Self {
-        Self {
-            shards: 4,
-            mode: DirMode::Embedded,
-            primary_hash_index: true,
-            max_cas_retries: 64,
-            network_ns: 100_000,
-            wal_record_ns: 15_000,
-        }
-    }
-}
-
-impl ShardedConfig {
-    pub fn with_shards(shards: usize) -> Self {
-        Self {
-            shards,
-            ..Self::default()
-        }
-    }
-}
+/// Simulated durable-WAL-record cost.
+const WAL_RECORD_NS: u64 = 15_000;
 
 /// Per-directory operation heads on one shard: the CAS coordination
 /// primitive. Plain atomics behind a lazily-populated map — `try_advance`
@@ -361,7 +327,6 @@ impl std::fmt::Display for ShardFinding {
 /// seat per shard, and the global directory table that routes between
 /// them.
 pub struct ShardedMds {
-    cfg: ShardedConfig,
     map: ShardMap,
     servers: Vec<Mds>,
     seats: Vec<ShardSeat>,
@@ -373,15 +338,16 @@ pub struct ShardedMds {
 }
 
 impl ShardedMds {
-    pub fn new(cfg: ShardedConfig) -> Self {
-        assert!(cfg.shards > 0, "a cluster needs at least one shard");
-        let servers = (0..cfg.shards)
-            .map(|_| Mds::new(MdsConfig::with_mode(cfg.mode)))
+    /// `shards` MDS instances, each in the paper's §IV embedded mode
+    /// (that surviving distribution is the point).
+    pub fn new(shards: usize) -> Self {
+        assert!(shards > 0, "a cluster needs at least one shard");
+        let servers = (0..shards)
+            .map(|_| Mds::new(MdsConfig::with_mode(DirMode::Embedded)))
             .collect();
-        let seats = (0..cfg.shards).map(|_| ShardSeat::new()).collect();
+        let seats = (0..shards).map(|_| ShardSeat::new()).collect();
         Self {
-            cfg,
-            map: ShardMap::new(cfg.shards),
+            map: ShardMap::new(shards),
             servers,
             seats,
             dirs: Vec::new(),
@@ -392,12 +358,8 @@ impl ShardedMds {
         }
     }
 
-    pub fn config(&self) -> &ShardedConfig {
-        &self.cfg
-    }
-
     pub fn shards(&self) -> usize {
-        self.cfg.shards
+        self.servers.len()
     }
 
     pub fn map(&self) -> ShardMap {
@@ -409,10 +371,10 @@ impl ShardedMds {
     }
 
     /// Simulated client-visible time: network hops plus durable WAL
-    /// records, both at configured unit costs.
+    /// records, both at fixed unit costs.
     pub fn client_ns(&self) -> u64 {
         let records: u64 = self.seats.iter().map(|s| s.wal_len()).sum();
-        self.stats.hops * self.cfg.network_ns + records * self.cfg.wal_record_ns
+        self.stats.hops * NETWORK_HOP_NS + records * WAL_RECORD_NS
     }
 
     /// The per-shard WAL images, in shard order (what a crash leaves
@@ -504,11 +466,7 @@ impl ShardedMds {
         self.stats.ops += 1;
         // Client → home, plus home fanning the seat out to every other
         // shard for striped directories.
-        self.stats.hops += 1 + if striped {
-            self.cfg.shards as u64 - 1
-        } else {
-            0
-        };
+        self.stats.hops += 1 + if striped { self.shards() as u64 - 1 } else { 0 };
         dir
     }
 
@@ -548,10 +506,7 @@ impl ShardedMds {
         let d = &self.dirs[dir as usize];
         let shard = self.entry_shard(dir, name);
         self.stats.ops += 1;
-        if d.striped && !self.cfg.primary_hash_index {
-            // No index: ask every shard.
-            self.stats.hops += self.cfg.shards as u64;
-        } else if d.striped {
+        if d.striped {
             // Client → home consults the index; one more hop if the
             // entry lives elsewhere.
             self.stats.hops += 1 + u64::from(shard != d.home);
@@ -704,7 +659,6 @@ impl ShardedMds {
             },
             name,
             new_name,
-            self.cfg.max_cas_retries,
             crash,
         );
         match outcome {
@@ -769,7 +723,6 @@ impl ShardedMds {
         route: XsRoute,
         name: &str,
         new_name: &str,
-        max_retries: u32,
         crash: Option<(XsCrashPoint, Option<usize>)>,
     ) -> XsOutcome {
         let src = &seats[route.src_shard as usize];
@@ -791,7 +744,7 @@ impl ShardedMds {
             Some(stamp)
         };
         loop {
-            if retries > max_retries {
+            if retries > MAX_CAS_RETRIES {
                 return XsOutcome::Contended { retries };
             }
             if stop(XsCrashPoint::BeforeIntent) {
@@ -956,8 +909,8 @@ impl ShardedMds {
     /// roll-back is a no-op because intents change no state). The rebuilt
     /// instance journals afresh, so recovering a recovered cluster is
     /// idempotent by construction.
-    pub fn recover(images: &[Vec<u8>], cfg: ShardedConfig) -> Self {
-        assert_eq!(images.len(), cfg.shards, "one WAL image per shard");
+    pub fn recover(images: &[Vec<u8>], shards: usize) -> Self {
+        assert_eq!(images.len(), shards, "one WAL image per shard");
         let mut merged: Vec<(u32, ShardRecord)> = Vec::new();
         for (shard, image) in images.iter().enumerate() {
             merged.extend(
@@ -971,7 +924,7 @@ impl ShardedMds {
 
         let mut intents: HashMap<u64, XsTxn> = HashMap::new();
         let mut applied: HashSet<u64> = HashSet::new();
-        let mut fresh = Self::new(cfg);
+        let mut fresh = Self::new(shards);
         for (from_shard, rec) in &merged {
             match &rec.op {
                 ShardOp::Ns(ShardNsOp::Mkdir { dir, striped, name }) => {
@@ -1119,7 +1072,6 @@ impl ShardedMds {
         let seats = &self.seats;
         let gseq = &self.gseq;
         let next_txn = &self.next_txn;
-        let max_retries = self.cfg.max_cas_retries;
         let results: Vec<Vec<Done>> = std::thread::scope(|scope| {
             let handles: Vec<_> = routed
                 .iter()
@@ -1132,14 +1084,7 @@ impl ShardedMds {
                                 "storm plans must route cross-shard"
                             );
                             match Self::coordinate_xs(
-                                seats,
-                                gseq,
-                                next_txn,
-                                *route,
-                                name,
-                                new_name,
-                                max_retries,
-                                None,
+                                seats, gseq, next_txn, *route, name, new_name, None,
                             ) {
                                 XsOutcome::Committed {
                                     txn,
@@ -1463,7 +1408,7 @@ impl ShardedMds {
                 // every other.
                 let keep = self.entry_shard(*dir, name);
                 let mut changed = false;
-                for s in 0..self.cfg.shards as u32 {
+                for s in 0..self.shards() as u32 {
                     if s != keep && self.store_has(*dir, s, name) {
                         let ino = self.dirs[*dir as usize].shard_inos[s as usize]
                             .expect("store_has implies a seat");
@@ -1516,7 +1461,7 @@ impl ShardedMds {
     /// Point the index at the wrong shard → `shard-hash-index-drift`.
     pub fn corrupt_misindex_entry(&mut self, dir: u32, name: &str) {
         let actual = self.entry_shard(dir, name);
-        let wrong = (actual + 1) % self.cfg.shards as u32;
+        let wrong = (actual + 1) % self.shards() as u32;
         self.dirs[dir as usize]
             .entries
             .get_mut(name)
@@ -1532,7 +1477,7 @@ impl ShardedMds {
             "doubling needs a second seat"
         );
         let owner = self.entry_shard(dir, name);
-        let other = (owner + 1) % self.cfg.shards as u32;
+        let other = (owner + 1) % self.shards() as u32;
         let ino = self.dirs[dir as usize].shard_inos[other as usize]
             .expect("striped dirs seat every shard");
         self.servers[other as usize].create(ino, name, 1);
@@ -1612,7 +1557,7 @@ mod tests {
 
     #[test]
     fn same_shard_ops_run_the_fast_path() {
-        let mut m = ShardedMds::new(ShardedConfig::with_shards(4));
+        let mut m = ShardedMds::new(4);
         let d = m.mkdir("plain");
         m.create(d, "a", 2);
         m.create(d, "b", 1);
@@ -1628,7 +1573,7 @@ mod tests {
 
     #[test]
     fn cross_shard_rename_moves_the_entry() {
-        let mut m = ShardedMds::new(ShardedConfig::with_shards(4));
+        let mut m = ShardedMds::new(4);
         let (a, b) = pair_with_distinct_homes(&mut m);
         m.create(a, "f", 3);
         let retries = m.rename(a, "f", b, "g");
@@ -1646,7 +1591,7 @@ mod tests {
 
     #[test]
     fn striped_dir_spreads_and_keeps_index() {
-        let mut m = ShardedMds::new(ShardedConfig::with_shards(4));
+        let mut m = ShardedMds::new(4);
         let d = m.mkdir_striped("big");
         for i in 0..64 {
             m.create(d, &format!("f{i}"), 1);
@@ -1663,34 +1608,64 @@ mod tests {
 
     #[test]
     fn primary_index_saves_stat_hops() {
-        let mut with = ShardedMds::new(ShardedConfig::with_shards(8));
-        let mut without = ShardedMds::new(ShardedConfig {
-            primary_hash_index: false,
-            ..ShardedConfig::with_shards(8)
-        });
-        for m in [&mut with, &mut without] {
-            let d = m.mkdir_striped("big");
-            for i in 0..32 {
-                m.create(d, &format!("f{i}"), 1);
-            }
-        }
-        let base_with = with.stats().hops;
-        let base_without = without.stats().hops;
+        let mut m = ShardedMds::new(8);
+        let d = m.mkdir_striped("big");
         for i in 0..32 {
-            with.stat(0, &format!("f{i}"));
-            without.stat(0, &format!("f{i}"));
+            m.create(d, &format!("f{i}"), 1);
         }
-        let stat_with = with.stats().hops - base_with;
-        let stat_without = without.stats().hops - base_without;
-        // Indexed: ≤ 2 hops/stat. Broadcast: shards hops/stat.
-        assert!(stat_with <= 2 * 32, "indexed stats cost {stat_with} hops");
-        assert_eq!(stat_without, 8 * 32);
+        let base = m.stats().hops;
+        for i in 0..32 {
+            m.stat(d, &format!("f{i}"));
+        }
+        // Indexed: ≤ 2 hops/stat (a broadcast would pay 8).
+        let hops = m.stats().hops - base;
+        assert!(hops <= 2 * 32, "indexed stats cost {hops} hops");
+    }
+
+    #[test]
+    fn sharded_per_op_cost_is_population_independent() {
+        // The §IV-C 20M-file projection's load-bearing fact: per-op hops
+        // do not grow with the file population (hash routing, no
+        // structure that degrades with size). Calibrate small,
+        // extrapolate huge.
+        let hops_per_op = |files_per_dir: u32| {
+            let mut m = ShardedMds::new(4);
+            let dirs: Vec<u32> = (0..4)
+                .map(|c| m.mkdir_striped(&format!("client{c}")))
+                .collect();
+            let ops = 4 * files_per_dir as u64;
+            let name = |i: u32| format!("file{i:05}");
+            let phase = |m: &mut ShardedMds, op: &dyn Fn(&mut ShardedMds, u32, &str)| {
+                let h0 = m.stats().hops;
+                for i in 0..files_per_dir {
+                    for &d in &dirs {
+                        op(m, d, &name(i));
+                    }
+                }
+                (m.stats().hops - h0) as f64 / ops as f64
+            };
+            [
+                phase(&mut m, &|m, d, n| m.create(d, n, 1)),
+                phase(&mut m, &|m, d, n| m.utime(d, n)),
+                phase(&mut m, &|m, d, n| assert!(m.stat(d, n))),
+                phase(&mut m, &|m, d, n| m.unlink(d, n)),
+            ]
+        };
+        let (small, big) = (hops_per_op(250), hops_per_op(1000));
+        for (phase, (a, b)) in ["create", "utime", "stat", "unlink"]
+            .iter()
+            .zip(small.iter().zip(&big))
+        {
+            assert!(
+                (a - b).abs() / a < 0.05,
+                "{phase}: {a:.3} vs {b:.3} hops/op must stay flat"
+            );
+        }
     }
 
     #[test]
     fn recovery_replays_the_namespace() {
-        let cfg = ShardedConfig::with_shards(4);
-        let mut m = ShardedMds::new(cfg);
+        let mut m = ShardedMds::new(4);
         let (a, b) = pair_with_distinct_homes(&mut m);
         let big = m.mkdir_striped("big");
         for i in 0..16 {
@@ -1700,26 +1675,25 @@ mod tests {
         m.create(a, "y", 1);
         m.rename(a, "x", b, "z");
         m.unlink(a, "y");
-        let recovered = ShardedMds::recover(&m.wal_images(), cfg);
+        let recovered = ShardedMds::recover(&m.wal_images(), 4);
         assert_eq!(recovered.snapshot(), m.snapshot());
         assert!(recovered.shard_findings().is_empty());
         // Idempotent: recovering the recovered cluster changes nothing.
-        let twice = ShardedMds::recover(&recovered.wal_images(), cfg);
+        let twice = ShardedMds::recover(&recovered.wal_images(), 4);
         assert_eq!(twice.snapshot(), m.snapshot());
     }
 
     #[test]
     fn crash_before_commit_rolls_back_and_after_rolls_forward() {
         for point in XsCrashPoint::ALL {
-            let cfg = ShardedConfig::with_shards(4);
-            let mut m = ShardedMds::new(cfg);
+            let mut m = ShardedMds::new(4);
             let (a, b) = pair_with_distinct_homes(&mut m);
             m.create(a, "f", 1);
             let before = m.snapshot();
             m.rename_crash(a, "f", b, "g", point, None);
-            let r = ShardedMds::recover(&m.wal_images(), cfg);
+            let r = ShardedMds::recover(&m.wal_images(), 4);
             if point.commits() {
-                let mut check = ShardedMds::new(cfg);
+                let mut check = ShardedMds::new(4);
                 let (ca, cb) = pair_with_distinct_homes(&mut check);
                 check.create(ca, "f", 1);
                 check.rename(ca, "f", cb, "g");
@@ -1733,8 +1707,7 @@ mod tests {
 
     #[test]
     fn every_finding_kind_is_found_and_repaired() {
-        let cfg = ShardedConfig::with_shards(4);
-        let mut m = ShardedMds::new(cfg);
+        let mut m = ShardedMds::new(4);
         let d = m.mkdir_striped("big");
         for i in 0..8 {
             m.create(d, &format!("f{i}"), 1);
@@ -1782,8 +1755,7 @@ mod tests {
 
     #[test]
     fn rename_storm_is_exactly_once_with_monotone_heads() {
-        let cfg = ShardedConfig::with_shards(4);
-        let mut m = ShardedMds::new(cfg);
+        let mut m = ShardedMds::new(4);
         let (a, b) = pair_with_distinct_homes(&mut m);
         let threads = 4;
         let per_thread = 8;
@@ -1816,20 +1788,19 @@ mod tests {
         );
         assert!(m.shard_findings().is_empty());
         // The WAL agrees with the live state after a full rebuild.
-        let r = ShardedMds::recover(&m.wal_images(), cfg);
+        let r = ShardedMds::recover(&m.wal_images(), 4);
         assert_eq!(r.snapshot(), m.snapshot());
     }
 
     #[test]
     fn create_storm_keeps_the_primary_index_consistent() {
-        let cfg = ShardedConfig::with_shards(4);
-        let mut m = ShardedMds::new(cfg);
+        let mut m = ShardedMds::new(4);
         let d = m.mkdir_striped("big");
         let report = m.create_storm(d, 4, 32);
         assert_eq!(report.committed, 4 * 32);
         assert_eq!(m.entry_count(d), 4 * 32);
         assert!(m.shard_findings().is_empty(), "index must stay consistent");
-        let r = ShardedMds::recover(&m.wal_images(), cfg);
+        let r = ShardedMds::recover(&m.wal_images(), 4);
         assert_eq!(r.snapshot(), m.snapshot());
     }
 }

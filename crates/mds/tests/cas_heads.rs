@@ -4,7 +4,7 @@
 //! are asserted over seeded random schedules so a failure reproduces with
 //! one number.
 
-use mif_mds::{OpHeadTable, ShardedConfig, ShardedMds};
+use mif_mds::{OpHeadTable, ShardedMds, MAX_CAS_RETRIES};
 use mif_rng::SmallRng;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -95,7 +95,7 @@ fn storm_cluster(
     entries_per_thread: usize,
     threads: usize,
 ) -> (ShardedMds, u32, u32) {
-    let mut m = ShardedMds::new(ShardedConfig::with_shards(shards));
+    let mut m = ShardedMds::new(shards);
     let src = m.mkdir_striped("src");
     let dst = m.mkdir_striped("dst");
     for t in 0..threads {
@@ -109,7 +109,7 @@ fn storm_cluster(
 /// The full protocol under racing threads: every planned op commits
 /// exactly once, per-directory heads advance monotonically to exactly the
 /// number of journaled CAS advances, and no single op needed more than
-/// the configured retry budget.
+/// the retry budget.
 #[test]
 fn racing_renames_commit_exactly_once_with_bounded_retries() {
     for seed in 0..4u64 {
@@ -158,9 +158,9 @@ fn racing_renames_commit_exactly_once_with_bounded_retries() {
             }
         }
 
-        // Bounded retries: no op exceeded the configured CAS budget.
+        // Bounded retries: no op exceeded the CAS budget.
         assert!(
-            report.max_retries_single_op < m.config().max_cas_retries,
+            report.max_retries_single_op < MAX_CAS_RETRIES,
             "seed {seed}: worst op used {} retries",
             report.max_retries_single_op
         );
@@ -185,7 +185,7 @@ fn racing_renames_commit_exactly_once_with_bounded_retries() {
 #[test]
 fn create_storm_keeps_primary_index_consistent() {
     for &threads in &[2usize, 4, 8] {
-        let mut m = ShardedMds::new(ShardedConfig::with_shards(4));
+        let mut m = ShardedMds::new(4);
         let big = m.mkdir_striped("big");
         let report = m.create_storm(big, threads, 64);
         assert_eq!(report.committed, (threads * 64) as u64);
@@ -219,7 +219,7 @@ fn storm_journal_recovers_to_identical_namespace() {
         })
         .collect();
     m.rename_storm(&plan);
-    let recovered = ShardedMds::recover(&m.wal_images(), *m.config());
+    let recovered = ShardedMds::recover(&m.wal_images(), m.shards());
     assert_eq!(
         recovered.snapshot(),
         m.snapshot(),

@@ -9,7 +9,7 @@
 //!
 //! One [`scrub_pass`] walks every serving bay (`Healthy`, `Draining`,
 //! `Rebuilding`; failed and absent bays have no media to verify) in
-//! fixed-size verify-read chunks ([`ScrubConfig::chunk_blocks`]), charged
+//! fixed-size verify-read chunks (`CHUNK_BLOCKS`), charged
 //! against the disk clock like any other IO. Each damaged block found is
 //! resolved to its owner and repaired in place — a write over a damaged
 //! block lays down fresh content, healing the defect:
@@ -26,7 +26,7 @@
 //!   the data loss instead of a silent "repair" from the damaged bytes.
 //!
 //! The pass is budgeted and resumable ([`scrub_step`] + [`ScrubCursor`]):
-//! at most `budget_blocks_per_tick` blocks are verified per tick, and the
+//! at most `BUDGET_BLOCKS_PER_TICK` blocks are verified per tick, and the
 //! per-dispatch service time is sampled each tick — when the foreground
 //! looks saturated the budget halves, exactly the defrag scheduler's
 //! throttle shape, so scrubbing bounds its own impact on foreground p99.
@@ -34,26 +34,12 @@
 use mif_core::{DegradedSource, FileSystem, LifecycleStats, OpenFile, TierRun};
 use mif_simdisk::Nanos;
 
-/// Throttle and sizing knobs for a scrub pass.
-#[derive(Debug, Clone, Copy)]
-pub struct ScrubConfig {
-    /// Blocks per verify read (one sequential media read).
-    pub chunk_blocks: u64,
-    /// Verify-read budget per tick.
-    pub budget_blocks_per_tick: u64,
-    /// Per-dispatch service time above which the scrubber backs off.
-    pub latency_backoff_ns: Nanos,
-}
-
-impl Default for ScrubConfig {
-    fn default() -> Self {
-        Self {
-            chunk_blocks: 2048,
-            budget_blocks_per_tick: 16384,
-            latency_backoff_ns: 40_000_000,
-        }
-    }
-}
+/// Blocks per verify read (one sequential media read).
+const CHUNK_BLOCKS: u64 = 2048;
+/// Verify-read budget per tick.
+const BUDGET_BLOCKS_PER_TICK: u64 = 16384;
+/// Per-dispatch service time above which the scrubber backs off.
+const LATENCY_BACKOFF_NS: Nanos = 40_000_000;
 
 /// The budget never shrinks below this, so progress cannot stall.
 const MIN_BUDGET_BLOCKS: u64 = 256;
@@ -127,25 +113,20 @@ impl ScrubReport {
 
 /// One full scrub pass: every serving bay, end to end. Equivalent to
 /// [`scrub_step`] from a fresh cursor with an unbounded block cap.
-pub fn scrub_pass(fs: &mut FileSystem, cfg: &ScrubConfig) -> ScrubReport {
+pub fn scrub_pass(fs: &mut FileSystem) -> ScrubReport {
     let mut cursor = ScrubCursor::default();
-    scrub_step(fs, cfg, &mut cursor, u64::MAX)
+    scrub_step(fs, &mut cursor, u64::MAX)
 }
 
 /// Verify at most `max_blocks` from `cursor`, advancing it; call again
 /// with the same cursor to resume. `completed` turns true on the step
 /// that walks past the last bay (the cursor then resets to the start, so
 /// the next call begins a fresh pass).
-pub fn scrub_step(
-    fs: &mut FileSystem,
-    cfg: &ScrubConfig,
-    cursor: &mut ScrubCursor,
-    max_blocks: u64,
-) -> ScrubReport {
+pub fn scrub_step(fs: &mut FileSystem, cursor: &mut ScrubCursor, max_blocks: u64) -> ScrubReport {
     let mut report = ScrubReport::default();
     let osts = fs.total_osts();
     let bay_blocks = fs.config.geometry.blocks;
-    let mut budget = cfg.budget_blocks_per_tick.max(MIN_BUDGET_BLOCKS);
+    let mut budget = BUDGET_BLOCKS_PER_TICK;
 
     'outer: while cursor.ost < osts {
         if !fs.ost_health(cursor.ost).serves_io() {
@@ -164,8 +145,7 @@ pub fn scrub_step(
             let tick_start = fs.data_stats();
             let mut verified_this_tick = 0u64;
             while verified_this_tick < budget && cursor.block < bay_blocks {
-                let len = cfg
-                    .chunk_blocks
+                let len = CHUNK_BLOCKS
                     .min(bay_blocks - cursor.block)
                     .min(max_blocks.saturating_sub(report.scanned_blocks))
                     .max(1);
@@ -191,11 +171,11 @@ pub fn scrub_step(
             // Foreground-latency sample, the defrag scheduler's shape.
             let delta = fs.data_stats().since(&tick_start);
             let mean_ns = delta.busy_ns.checked_div(delta.dispatched).unwrap_or(0);
-            if mean_ns > cfg.latency_backoff_ns {
+            if mean_ns > LATENCY_BACKOFF_NS {
                 report.backoffs += 1;
                 budget = (budget / 2).max(MIN_BUDGET_BLOCKS);
-            } else if budget < cfg.budget_blocks_per_tick {
-                budget = (budget * 2).min(cfg.budget_blocks_per_tick);
+            } else if budget < BUDGET_BLOCKS_PER_TICK {
+                budget = (budget * 2).min(BUDGET_BLOCKS_PER_TICK);
             }
         }
         if cursor.block >= bay_blocks {
@@ -411,7 +391,7 @@ mod tests {
     #[test]
     fn clean_array_scrubs_clean() {
         let (mut fs, _) = written_fs(4);
-        let report = scrub_pass(&mut fs, &ScrubConfig::default());
+        let report = scrub_pass(&mut fs);
         assert!(report.completed);
         assert_eq!(report.corruptions_found, 0);
         assert!(report.findings.is_empty());
@@ -430,7 +410,7 @@ mod tests {
             .find(|&b| !fs.allocator(2).is_allocated(b))
             .unwrap();
         fs.damage_block(2, free);
-        let report = scrub_pass(&mut fs, &ScrubConfig::default());
+        let report = scrub_pass(&mut fs);
         assert_eq!(report.corruptions_found, 1);
         assert_eq!(report.free_healed, 1);
         assert!(report.findings.is_empty());
@@ -446,7 +426,7 @@ mod tests {
         let ost = fs.ost_of_column(f, col).unwrap() as usize;
         let (_, phys, _) = fs.physical_layout(f, col)[0];
         fs.damage_block(ost, phys);
-        let report = scrub_pass(&mut fs, &ScrubConfig::default());
+        let report = scrub_pass(&mut fs);
         assert_eq!(report.corruptions_found, 1);
         assert_eq!(report.repaired, 0, "no redundancy to repair from");
         assert_eq!(report.findings.len(), 1);
@@ -473,7 +453,7 @@ mod tests {
         let mut scanned = 0;
         let mut steps = 0;
         loop {
-            let r = scrub_step(&mut fs, &ScrubConfig::default(), &mut cursor, total / 7 + 1);
+            let r = scrub_step(&mut fs, &mut cursor, total / 7 + 1);
             scanned += r.scanned_blocks;
             steps += 1;
             if r.completed {

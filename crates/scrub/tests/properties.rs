@@ -10,7 +10,7 @@
 use mif_core::FileSystem;
 use mif_fsck::{Finding, FsckOptions};
 use mif_rng::SmallRng;
-use mif_scrub::{scrub_pass, ScrubConfig, ScrubFinding};
+use mif_scrub::{scrub_pass, ScrubFinding};
 use mif_tier::replicate_file;
 use mif_workloads::{age_data_fs, DataAgingParams};
 
@@ -41,7 +41,7 @@ fn plant_damage(fs: &mut FileSystem, seed: u64, per_ost: u64) -> Vec<(usize, u64
 fn every_injected_corruption_is_found_within_one_pass() {
     let mut fs = aged();
     let planted = plant_damage(&mut fs, 0xD15C, 16);
-    let report = scrub_pass(&mut fs, &ScrubConfig::default());
+    let report = scrub_pass(&mut fs);
     assert!(report.completed);
     assert_eq!(
         report.corruptions_found as usize,
@@ -70,7 +70,7 @@ fn every_injected_corruption_is_found_within_one_pass() {
 #[test]
 fn clean_array_produces_zero_findings() {
     let mut fs = aged();
-    let report = scrub_pass(&mut fs, &ScrubConfig::default());
+    let report = scrub_pass(&mut fs);
     assert!(report.completed);
     assert_eq!(report.corruptions_found, 0, "{report:?}");
     assert!(report.findings.is_empty());
@@ -85,7 +85,7 @@ fn scrub_then_fsck_agrees_with_fsck_alone() {
     plant_damage(&mut plain, 7, 8);
     plant_damage(&mut scrubbed, 7, 8);
 
-    scrub_pass(&mut scrubbed, &ScrubConfig::default());
+    scrub_pass(&mut scrubbed);
     let direct: Vec<Finding> = mif_fsck::run(&mut plain, &FsckOptions::default()).findings;
     let after: Vec<Finding> = mif_fsck::run(&mut scrubbed, &FsckOptions::default()).findings;
     assert_eq!(
@@ -113,7 +113,7 @@ fn replica_covered_damage_repairs_from_the_surviving_copy() {
         .expect("replica source is mapped");
     fs.damage_block(ost, phys);
 
-    let report = scrub_pass(&mut fs, &ScrubConfig::default());
+    let report = scrub_pass(&mut fs);
     assert_eq!(report.corruptions_found, 1, "{report:?}");
     assert_eq!(report.repaired, 1, "repaired from the replica");
     assert!(report.findings.is_empty());
@@ -122,7 +122,7 @@ fn replica_covered_damage_repairs_from_the_surviving_copy() {
         "primary verified clean after repair"
     );
     // Second pass proves the repair took: nothing left to find.
-    let again = scrub_pass(&mut fs, &ScrubConfig::default());
+    let again = scrub_pass(&mut fs);
     assert_eq!(again.corruptions_found, 0);
     assert_eq!(fs.lifecycle().scrub_passes, 2);
     assert_eq!(fs.lifecycle().scrub_corruptions_found, 1);

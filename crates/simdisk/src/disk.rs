@@ -4,7 +4,6 @@ use crate::cache::BlockCache;
 use crate::events::{DiskEvent, EventRecorder};
 use crate::fault::{FaultDecision, FaultInjector, FaultPlan, FaultStats, IoFault};
 use crate::geometry::DiskGeometry;
-use crate::latency::LatencyHistogram;
 use crate::readahead::Readahead;
 use crate::request::{BlockRequest, IoOp};
 use crate::scheduler::{IoScheduler, SchedulerConfig};
@@ -34,7 +33,6 @@ pub struct Disk {
     head: BlockNo,
     clock: Nanos,
     stats: DiskStats,
-    latency: LatencyHistogram,
     recorder: EventRecorder,
     faults: Option<FaultInjector>,
     /// Whole-device death ([`Disk::fail`]): every request errors until the
@@ -69,7 +67,6 @@ impl Disk {
             head: 0,
             clock: 0,
             stats: DiskStats::default(),
-            latency: LatencyHistogram::new(),
             recorder: EventRecorder::new(0),
             faults: None,
             failed: false,
@@ -143,7 +140,6 @@ impl Disk {
         self.stats.submitted += 1;
         self.stats.dispatched += 1;
         self.stats.bytes_read += len * self.geometry.block_size;
-        self.latency.record(t);
         Ok(self.damaged.range(start..start + len).copied().collect())
     }
 
@@ -335,7 +331,6 @@ impl Disk {
         for req in dispatch {
             let at_ns = self.clock + elapsed;
             let t = self.service(ctx, req);
-            self.latency.record(t);
             if self.recorder.enabled() {
                 self.recorder.record(DiskEvent {
                     at_ns,
@@ -427,11 +422,6 @@ impl Disk {
     /// Statistics snapshot.
     pub fn stats(&self) -> &DiskStats {
         &self.stats
-    }
-
-    /// Per-command service-time distribution.
-    pub fn latency(&self) -> &LatencyHistogram {
-        &self.latency
     }
 
     /// Current head position (block).

@@ -60,7 +60,6 @@ pub mod events;
 pub mod fault;
 pub mod geometry;
 pub mod health;
-pub mod latency;
 pub mod readahead;
 pub mod request;
 pub mod scheduler;
@@ -72,7 +71,6 @@ pub use events::{DiskEvent, EventRecorder};
 pub use fault::{CorruptKind, FaultDecision, FaultInjector, FaultPlan, FaultStats, IoFault};
 pub use geometry::DiskGeometry;
 pub use health::DiskHealth;
-pub use latency::LatencyHistogram;
 pub use readahead::Readahead;
 pub use request::{BlockRequest, IoOp};
 pub use scheduler::{IoScheduler, SchedulerConfig};

@@ -16,9 +16,6 @@ pub struct SchedulerConfig {
     pub merge: bool,
     /// Largest merged request, in blocks (Linux `max_sectors_kb` analogue).
     pub max_merged_blocks: u64,
-    /// Whether the dispatch order is C-LOOK (ascending elevator sweep) or
-    /// strict arrival order.
-    pub elevator: bool,
     /// Software/RPC overhead charged per *submitted* request, in ns.
     /// Models the per-request client-RPC + server-queue cost a parallel
     /// file system pays before a request ever reaches the elevator — the
@@ -33,7 +30,6 @@ impl Default for SchedulerConfig {
             merge: true,
             // 1024 blocks * 4 KiB = 4 MiB max request, a common upper bound.
             max_merged_blocks: 1024,
-            elevator: true,
             per_request_ns: 0,
         }
     }
@@ -53,15 +49,12 @@ impl IoScheduler {
 
     /// Order and merge one batch of requests, returning the dispatch list.
     ///
-    /// With the elevator enabled the batch is served in one ascending sweep
-    /// starting from `head` and wrapping (C-LOOK); merging then coalesces
-    /// adjacent same-direction requests up to the size cap.
+    /// The batch is served in one ascending elevator sweep starting from
+    /// `head` and wrapping to the lowest outstanding request (C-LOOK);
+    /// merging then coalesces adjacent same-direction requests up to the
+    /// size cap.
     pub fn schedule(&self, head: u64, mut batch: Vec<BlockRequest>) -> Vec<BlockRequest> {
-        if self.config.elevator {
-            // C-LOOK: ascending from the head position, then wrap to the
-            // lowest outstanding request.
-            batch.sort_by_key(|r| (r.start < head, r.start));
-        }
+        batch.sort_by_key(|r| (r.start < head, r.start));
         if self.config.merge {
             let max = self.config.max_merged_blocks;
             // `dedup_by` hands over (next, last kept): fold `next` into
@@ -153,19 +146,6 @@ mod tests {
         let s = IoScheduler::new(cfg);
         let batch = vec![BlockRequest::read(0, 2), BlockRequest::read(2, 2)];
         assert_eq!(s.schedule(0, batch).len(), 2);
-    }
-
-    #[test]
-    fn arrival_order_when_elevator_disabled() {
-        let cfg = SchedulerConfig {
-            elevator: false,
-            merge: false,
-            ..Default::default()
-        };
-        let s = IoScheduler::new(cfg);
-        let batch = vec![BlockRequest::read(50, 1), BlockRequest::read(5, 1)];
-        let out = s.schedule(0, batch);
-        assert_eq!(out[0].start, 50);
     }
 
     #[test]

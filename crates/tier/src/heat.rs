@@ -7,7 +7,7 @@
 //! two-threshold Markov estimator with **hysteresis** (the rate needed to
 //! *enter* Hot is higher than the rate needed to *stay* Hot, and likewise
 //! at the cold end) plus **inertia** (a state switches only after
-//! `inertia` consecutive ticks of evidence pointing at the same other
+//! `INERTIA` consecutive ticks of evidence pointing at the same other
 //! state). Under a zipf workload the popular files' instantaneous rates
 //! swing wildly between ticks; either mechanism alone still flaps on the
 //! band edges, the two together keep the popular head pinned Hot and the
@@ -33,37 +33,23 @@ pub enum Heat {
     Cold,
 }
 
-/// Thresholds (in EWMA units, see [`RATE_SCALE`]) and stickiness.
-#[derive(Debug, Clone, Copy)]
-pub struct HeatConfig {
-    /// EWMA at or above which a non-hot file's evidence points Hot
-    /// (default 8 accesses/tick).
-    pub hot_enter: u64,
-    /// EWMA below which a Hot file's evidence points away from Hot
-    /// (default 2 accesses/tick — the hysteresis band).
-    pub hot_exit: u64,
-    /// EWMA at or below which a non-cold file's evidence points Cold
-    /// (default 1/4 access/tick).
-    pub cold_enter: u64,
-    /// EWMA above which a Cold file's evidence points away from Cold
-    /// (default 1 access/tick).
-    pub cold_exit: u64,
-    /// Consecutive ticks the evidence must point at the same different
-    /// state before the classification moves.
-    pub inertia: u32,
-}
+// Thresholds, in EWMA units (see `RATE_SCALE`), and stickiness.
 
-impl Default for HeatConfig {
-    fn default() -> Self {
-        HeatConfig {
-            hot_enter: 8 * RATE_SCALE,
-            hot_exit: 2 * RATE_SCALE,
-            cold_enter: RATE_SCALE / 4,
-            cold_exit: RATE_SCALE,
-            inertia: 3,
-        }
-    }
-}
+/// EWMA at or above which a non-hot file's evidence points Hot
+/// (8 accesses/tick).
+const HOT_ENTER: u64 = 8 * RATE_SCALE;
+/// EWMA below which a Hot file's evidence points away from Hot
+/// (2 accesses/tick — the hysteresis band).
+const HOT_EXIT: u64 = 2 * RATE_SCALE;
+/// EWMA at or below which a non-cold file's evidence points Cold
+/// (1/4 access/tick).
+const COLD_ENTER: u64 = RATE_SCALE / 4;
+/// EWMA above which a Cold file's evidence points away from Cold
+/// (1 access/tick).
+const COLD_EXIT: u64 = RATE_SCALE;
+/// Consecutive ticks the evidence must point at the same different state
+/// before the classification moves.
+const INERTIA: u32 = 3;
 
 #[derive(Debug, Clone, Copy)]
 struct FileHeat {
@@ -77,28 +63,13 @@ struct FileHeat {
 }
 
 /// The classifier: per-file state keyed by raw file id.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct HeatClassifier {
-    cfg: HeatConfig,
     files: BTreeMap<u64, FileHeat>,
     ticks: u64,
 }
 
-impl Default for HeatClassifier {
-    fn default() -> Self {
-        Self::new(HeatConfig::default())
-    }
-}
-
 impl HeatClassifier {
-    pub fn new(cfg: HeatConfig) -> Self {
-        HeatClassifier {
-            cfg,
-            files: BTreeMap::new(),
-            ticks: 0,
-        }
-    }
-
     /// One tick: fold the access deltas in, decay every known file's
     /// estimate (touched or not), and advance the sticky classifications.
     /// Files never seen before enter as Warm.
@@ -112,7 +83,6 @@ impl HeatClassifier {
                 streak: 0,
             });
         }
-        let cfg = self.cfg;
         for (&file, h) in self.files.iter_mut() {
             let accesses: u64 = deltas
                 .iter()
@@ -125,27 +95,27 @@ impl HeatClassifier {
             h.ewma = (3 * h.ewma + accesses * RATE_SCALE) / 4;
             let target = match h.state {
                 Heat::Hot => {
-                    if h.ewma >= cfg.hot_exit {
+                    if h.ewma >= HOT_EXIT {
                         Heat::Hot
-                    } else if h.ewma <= cfg.cold_enter {
+                    } else if h.ewma <= COLD_ENTER {
                         Heat::Cold
                     } else {
                         Heat::Warm
                     }
                 }
                 Heat::Warm => {
-                    if h.ewma >= cfg.hot_enter {
+                    if h.ewma >= HOT_ENTER {
                         Heat::Hot
-                    } else if h.ewma <= cfg.cold_enter {
+                    } else if h.ewma <= COLD_ENTER {
                         Heat::Cold
                     } else {
                         Heat::Warm
                     }
                 }
                 Heat::Cold => {
-                    if h.ewma >= cfg.hot_enter {
+                    if h.ewma >= HOT_ENTER {
                         Heat::Hot
-                    } else if h.ewma > cfg.cold_exit {
+                    } else if h.ewma > COLD_EXIT {
                         Heat::Warm
                     } else {
                         Heat::Cold
@@ -157,17 +127,13 @@ impl HeatClassifier {
                 h.streak = 0;
             } else if target == h.pending {
                 h.streak += 1;
-                if h.streak >= cfg.inertia {
+                if h.streak >= INERTIA {
                     h.state = target;
                     h.streak = 0;
                 }
             } else {
                 h.pending = target;
                 h.streak = 1;
-                if cfg.inertia <= 1 {
-                    h.state = target;
-                    h.streak = 0;
-                }
             }
         }
     }
@@ -191,15 +157,6 @@ impl HeatClassifier {
         }
     }
 
-    /// Files currently classified `heat`, ascending id (deterministic).
-    pub fn files_with(&self, heat: Heat) -> Vec<u64> {
-        self.files
-            .iter()
-            .filter(|(_, h)| h.state == heat)
-            .map(|(&f, _)| f)
-            .collect()
-    }
-
     /// Drop a file's state (unlink).
     pub fn forget(&mut self, file: u64) {
         self.files.remove(&file);
@@ -216,7 +173,7 @@ mod tests {
     use super::*;
 
     fn classifier() -> HeatClassifier {
-        HeatClassifier::new(HeatConfig::default())
+        HeatClassifier::default()
     }
 
     #[test]

@@ -28,8 +28,8 @@ pub mod heat;
 pub mod migrate;
 pub mod redundancy;
 
-pub use heat::{Heat, HeatClassifier, HeatConfig, RATE_SCALE};
-pub use migrate::{MaintenanceStats, TierConfig, TierEngine};
+pub use heat::{Heat, HeatClassifier, RATE_SCALE};
+pub use migrate::{MaintenanceStats, TierEngine};
 pub use redundancy::{
     derive_members, drop_run, encode_file, recover, replicate_file, replicate_file_budgeted,
     PlacementStats, RecoveryReport, REPLICA_CHUNK,

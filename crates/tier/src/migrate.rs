@@ -20,43 +20,23 @@
 //! Every placement and teardown goes through the engine's tier WAL, so a
 //! crash mid-pass recovers with [`crate::recover`].
 
-use crate::heat::{Heat, HeatClassifier, HeatConfig};
+use crate::heat::{Heat, HeatClassifier};
 use crate::redundancy::{drop_run, encode_file, replicate_file_budgeted, PlacementStats};
 use mif_core::{FileSystem, OpenFile};
 use mif_defrag::{run_prioritized, DefragConfig, DefragStats};
 use mif_mds::{RemapWal, TierWal};
 use mif_simdisk::IoFault;
 
-/// Knobs for one [`TierEngine`].
-#[derive(Debug, Clone, Copy)]
-pub struct TierConfig {
-    /// Classifier thresholds and stickiness.
-    pub heat: HeatConfig,
-    /// Budget/backoff for the embedded defrag pass.
-    pub defrag: DefragConfig,
-    /// Hot files replicated per maintenance pass.
-    pub max_promotions_per_pass: usize,
-    /// Cold files encoded per maintenance pass.
-    pub max_demotions_per_pass: usize,
-    /// Replica runs placed per maintenance pass, across all promotions.
-    /// A zipf-hot file accumulates thousands of small scattered spans per
-    /// traffic wave; this caps what one pass copies (and with it the size
-    /// of the map the write path scans for invalidation) — uncovered
-    /// spans resume next pass.
-    pub max_replica_runs_per_pass: u64,
-}
-
-impl Default for TierConfig {
-    fn default() -> Self {
-        TierConfig {
-            heat: HeatConfig::default(),
-            defrag: DefragConfig::default(),
-            max_promotions_per_pass: 32,
-            max_demotions_per_pass: 32,
-            max_replica_runs_per_pass: 1024,
-        }
-    }
-}
+/// Hot files replicated per maintenance pass.
+const MAX_PROMOTIONS_PER_PASS: usize = 32;
+/// Cold files encoded per maintenance pass.
+const MAX_DEMOTIONS_PER_PASS: usize = 32;
+/// Replica runs placed per maintenance pass, across all promotions. A
+/// zipf-hot file accumulates thousands of small scattered spans per
+/// traffic wave; this caps what one pass copies (and with it the size of
+/// the map the write path scans for invalidation) — uncovered spans
+/// resume next pass.
+const MAX_REPLICA_RUNS_PER_PASS: u64 = 1024;
 
 /// What one [`TierEngine::maintain`] pass accomplished.
 #[derive(Debug, Clone, Copy, Default)]
@@ -110,18 +90,9 @@ impl MaintenanceStats {
 pub struct TierEngine {
     heat: HeatClassifier,
     wal: TierWal,
-    cfg: TierConfig,
 }
 
 impl TierEngine {
-    pub fn new(cfg: TierConfig) -> Self {
-        TierEngine {
-            heat: HeatClassifier::new(cfg.heat),
-            wal: TierWal::new(),
-            cfg,
-        }
-    }
-
     /// Fold one drained access-recorder tick into the classifier
     /// (`ConcurrentFs::drain_access` produces exactly this shape).
     pub fn observe(&mut self, deltas: &[(OpenFile, u64, u64)]) {
@@ -161,7 +132,9 @@ impl TierEngine {
 
         // 2. Defrag with heat × fragmentation priority.
         let heat = &self.heat;
-        stats.defrag = run_prioritized(fs, remap_wal, &self.cfg.defrag, |f| heat.weight(f.0 .0));
+        stats.defrag = run_prioritized(fs, remap_wal, &DefragConfig::default(), |f| {
+            heat.weight(f.0 .0)
+        });
 
         // 3. Promote: replicate the hot set (live files only).
         let live: Vec<OpenFile> = fs.file_handles();
@@ -169,9 +142,9 @@ impl TierEngine {
             .iter()
             .copied()
             .filter(|f| self.heat.heat(f.0 .0) == Heat::Hot)
-            .take(self.cfg.max_promotions_per_pass)
+            .take(MAX_PROMOTIONS_PER_PASS)
             .collect();
-        let mut replica_budget = self.cfg.max_replica_runs_per_pass;
+        let mut replica_budget = MAX_REPLICA_RUNS_PER_PASS;
         for file in hot {
             let placed = replicate_file_budgeted(fs, &mut self.wal, file, replica_budget)?;
             replica_budget = replica_budget.saturating_sub(placed.replicas);
@@ -187,7 +160,7 @@ impl TierEngine {
             .iter()
             .copied()
             .filter(|f| self.heat.heat(f.0 .0) == Heat::Cold)
-            .take(self.cfg.max_demotions_per_pass)
+            .take(MAX_DEMOTIONS_PER_PASS)
             .collect();
         for file in cold {
             stats.absorb_placement(encode_file(fs, &mut self.wal, file)?);

@@ -4,7 +4,7 @@ use mif_alloc::{PolicyKind, StreamId};
 use mif_core::{FileSystem, FsConfig, OpenFile, TierMap};
 use mif_fsck::{FsckExt, FsckOptions};
 use mif_mds::{DirMode, RemapWal, TierRecovery};
-use mif_tier::{recover, Heat, TierConfig, TierEngine};
+use mif_tier::{recover, Heat, TierEngine};
 
 fn tier_fs() -> FileSystem {
     let mut cfg = FsConfig::with_modes(PolicyKind::OnDemand, 6, DirMode::Embedded);
@@ -28,7 +28,7 @@ fn maintain_promotes_the_hot_set_and_demotes_the_cold_set() {
     let mut fs = tier_fs();
     let hot = written_file(&mut fs, "hot", 48);
     let cold = written_file(&mut fs, "cold", 64);
-    let mut engine = TierEngine::new(TierConfig::default());
+    let mut engine = TierEngine::default();
     let mut remap = RemapWal::new();
 
     // Ten ticks of traffic concentrated on `hot`; `cold` stays silent.
@@ -57,7 +57,7 @@ fn maintain_promotes_the_hot_set_and_demotes_the_cold_set() {
 fn maintain_tears_down_invalidated_runs_lazily() {
     let mut fs = tier_fs();
     let hot = written_file(&mut fs, "hot", 48);
-    let mut engine = TierEngine::new(TierConfig::default());
+    let mut engine = TierEngine::default();
     let mut remap = RemapWal::new();
     for _ in 0..10 {
         engine.observe(&[(hot, 20, 0)]);
@@ -83,7 +83,7 @@ fn maintain_tears_down_invalidated_runs_lazily() {
 fn maintenance_passes_are_idempotent_without_new_heat() {
     let mut fs = tier_fs();
     let hot = written_file(&mut fs, "hot", 48);
-    let mut engine = TierEngine::new(TierConfig::default());
+    let mut engine = TierEngine::default();
     let mut remap = RemapWal::new();
     for _ in 0..10 {
         engine.observe(&[(hot, 16, 0)]);
@@ -100,7 +100,7 @@ fn engine_wal_survives_a_crash_mid_lifecycle() {
     let mut fs = tier_fs();
     let hot = written_file(&mut fs, "hot", 48);
     let cold = written_file(&mut fs, "cold", 64);
-    let mut engine = TierEngine::new(TierConfig::default());
+    let mut engine = TierEngine::default();
     let mut remap = RemapWal::new();
     for _ in 0..10 {
         engine.observe(&[(hot, 16, 0), (cold, 0, 0)]);

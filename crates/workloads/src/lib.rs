@@ -15,8 +15,6 @@
 //!   create / utime / delete / readdir-stat phases (Fig. 8);
 //! * [`fpp`] — the shared-file vs file-per-process comparison behind the
 //!   paper's motivation (§II-A.1, the Wang [16] factor-of-5 observation);
-//! * [`abaqus`] — the §II-A.1 engineering workload: interleaved reads and
-//!   writes of different regions of one shared .odb file;
 //! * [`aging`] — NetApp-style churn to a target utilization followed by the
 //!   same metadata mix (Fig. 9);
 //! * [`postmark`] — PostMark's transaction mix (Fig. 10);
@@ -51,7 +49,6 @@
 //! assert!(ond.phase2_mib_s > res.phase2_mib_s);
 //! ```
 
-pub mod abaqus;
 pub mod aging;
 pub mod apps;
 pub mod btio;
@@ -63,7 +60,6 @@ pub mod postmark;
 pub mod trace;
 pub mod zipf;
 
-pub use abaqus::{AbaqusParams, AbaqusResult};
 pub use aging::{age_data_fs, AgingParams, AgingResult, DataAgingParams};
 pub use apps::{AppKind, AppParams, AppResult};
 pub use btio::{BtioParams, BtioResult};

@@ -7,7 +7,7 @@
 //! operations round-robin, which is what scatters the normal layout's
 //! checkpoint writes over many block groups.
 
-use mif_mds::{DirMode, InodeNo, Mds, MdsConfig, ShardedConfig, ShardedMds, ROOT_INO};
+use mif_mds::{DirMode, InodeNo, Mds, MdsConfig, ROOT_INO};
 use mif_simdisk::Nanos;
 
 /// Which Metarates phase to run.
@@ -157,137 +157,6 @@ pub fn run_on(mds: &mut Mds, params: &MetaratesParams) -> MetaratesResult {
     MetaratesResult { phases }
 }
 
-/// One phase of the sharded-cluster Metarates run. Costs are the sharded
-/// model's units: network hops and durable WAL records folded into
-/// simulated client time.
-#[derive(Debug, Clone)]
-pub struct ShardedPhaseResult {
-    pub phase: Phase,
-    /// Operations performed.
-    pub ops: u64,
-    /// One-way network hops the phase spent.
-    pub hops: u64,
-    /// Simulated client-visible time (hops + WAL records at unit costs).
-    pub client_ns: Nanos,
-}
-
-impl ShardedPhaseResult {
-    /// Average hops per operation — the quantity that stays flat as the
-    /// population grows (placement is a pure hash; no structure gets
-    /// slower with size), which is what makes [`project_ns`] honest.
-    ///
-    /// [`project_ns`]: ShardedMetaratesResult::project_ns
-    pub fn hops_per_op(&self) -> f64 {
-        self.hops as f64 / self.ops.max(1) as f64
-    }
-}
-
-/// Outcome of a sharded Metarates run, with projection to populations far
-/// beyond what a test materializes.
-#[derive(Debug, Clone)]
-pub struct ShardedMetaratesResult {
-    pub shards: usize,
-    /// Files actually materialized (clients × files_per_dir).
-    pub files: u64,
-    pub phases: Vec<ShardedPhaseResult>,
-}
-
-impl ShardedMetaratesResult {
-    pub fn phase(&self, p: Phase) -> &ShardedPhaseResult {
-        self.phases
-            .iter()
-            .find(|r| r.phase == p)
-            .expect("phase was run")
-    }
-
-    /// Project a phase's client time onto a population of `files` files.
-    /// Valid because every sharded per-op cost is population-independent
-    /// (stable-hash routing, per-op WAL appends, indexed lookups); the
-    /// `sharded_per_op_cost_is_population_independent` test pins that, so
-    /// tens-of-millions-of-files runs extrapolate linearly from a
-    /// materialized calibration run.
-    pub fn project_ns(&self, p: Phase, files: u64) -> Nanos {
-        let r = self.phase(p);
-        let per_op = r.client_ns as f64 / r.ops.max(1) as f64;
-        (per_op * files as f64) as Nanos
-    }
-}
-
-/// Run Metarates against a sharded MDS cluster: every client directory is
-/// a striped (§IV-C) directory, so creates fan out across the shards and
-/// the primary hash index answers the stat side of readdir-stat.
-pub fn run_sharded(shards: usize, params: &MetaratesParams) -> ShardedMetaratesResult {
-    let mut m = ShardedMds::new(ShardedConfig::with_shards(shards));
-    let dirs: Vec<u32> = (0..params.clients)
-        .map(|c| m.mkdir_striped(&format!("client{c}")))
-        .collect();
-    let fname = |i: u32| format!("file{i:05}");
-    let mut phases = Vec::new();
-    let mut measure =
-        |m: &mut ShardedMds, phase: Phase, body: &mut dyn FnMut(&mut ShardedMds) -> u64| {
-            let h0 = m.stats().hops;
-            let t0 = m.client_ns();
-            let ops = body(m);
-            phases.push(ShardedPhaseResult {
-                phase,
-                ops,
-                hops: m.stats().hops - h0,
-                client_ns: m.client_ns() - t0,
-            });
-        };
-
-    measure(&mut m, Phase::Create, &mut |m| {
-        let mut ops = 0;
-        for i in 0..params.files_per_dir {
-            for &dir in &dirs {
-                m.create(dir, &fname(i), 1);
-                ops += 1;
-            }
-        }
-        ops
-    });
-    measure(&mut m, Phase::Utime, &mut |m| {
-        let mut ops = 0;
-        for i in 0..params.files_per_dir {
-            for &dir in &dirs {
-                m.utime(dir, &fname(i));
-                ops += 1;
-            }
-        }
-        ops
-    });
-    measure(&mut m, Phase::ReaddirStat, &mut |m| {
-        let mut ops = 0;
-        for _ in 0..params.readdir_repeats {
-            for &dir in &dirs {
-                m.readdir(dir);
-                ops += 1;
-                for i in 0..params.files_per_dir {
-                    assert!(m.stat(dir, &fname(i)), "listed file must stat");
-                    ops += 1;
-                }
-            }
-        }
-        ops
-    });
-    measure(&mut m, Phase::Delete, &mut |m| {
-        let mut ops = 0;
-        for i in 0..params.files_per_dir {
-            for &dir in &dirs {
-                m.unlink(dir, &fname(i));
-                ops += 1;
-            }
-        }
-        ops
-    });
-
-    ShardedMetaratesResult {
-        shards,
-        files: params.clients as u64 * params.files_per_dir as u64,
-        phases,
-    }
-}
-
 fn run_phase(
     mds: &mut Mds,
     phase: Phase,
@@ -362,63 +231,6 @@ mod tests {
             delete > create,
             "delete proportion {delete:.2} should exceed create {create:.2}"
         );
-    }
-
-    #[test]
-    fn sharded_metarates_runs_every_phase() {
-        let p = small();
-        let r = run_sharded(4, &p);
-        assert_eq!(r.shards, 4);
-        assert_eq!(r.files, 2000);
-        assert_eq!(r.phase(Phase::Create).ops, 2000);
-        assert_eq!(r.phase(Phase::Delete).ops, 2000);
-        // readdir + per-file stat per client dir.
-        assert_eq!(r.phase(Phase::ReaddirStat).ops, 4 * (1 + 500));
-        assert!(r.phase(Phase::Create).client_ns > 0);
-    }
-
-    #[test]
-    fn sharded_per_op_cost_is_population_independent() {
-        // The projection's load-bearing fact: per-op hops do not grow
-        // with the file population (hash routing, no structure that
-        // degrades with size). Calibrate small, extrapolate huge.
-        let small_run = run_sharded(
-            4,
-            &MetaratesParams {
-                clients: 4,
-                files_per_dir: 250,
-                readdir_repeats: 1,
-            },
-        );
-        let big_run = run_sharded(
-            4,
-            &MetaratesParams {
-                clients: 4,
-                files_per_dir: 1000,
-                readdir_repeats: 1,
-            },
-        );
-        for phase in [Phase::Create, Phase::Utime, Phase::Delete] {
-            let (a, b) = (
-                small_run.phase(phase).hops_per_op(),
-                big_run.phase(phase).hops_per_op(),
-            );
-            assert!(
-                (a - b).abs() / a < 0.05,
-                "{phase}: {a:.3} vs {b:.3} hops/op must stay flat"
-            );
-        }
-    }
-
-    #[test]
-    fn projection_scales_to_tens_of_millions() {
-        let r = run_sharded(8, &small());
-        let forty_million = 40_000_000u64;
-        let projected = r.project_ns(Phase::Create, forty_million);
-        let per_op = r.phase(Phase::Create).client_ns as f64 / r.phase(Phase::Create).ops as f64;
-        assert!(projected > 0);
-        let expect = (per_op * forty_million as f64) as u64;
-        assert_eq!(projected, expect, "projection is exactly linear");
     }
 
     #[test]

@@ -54,10 +54,6 @@ impl PostmarkResult {
     pub fn exec_ns(&self) -> Nanos {
         self.mds_ns + self.data_ns
     }
-
-    pub fn transactions_per_sec(&self) -> f64 {
-        self.transactions as f64 / (self.exec_ns() as f64 / 1e9)
-    }
 }
 
 /// Run PostMark on a fresh MDS in the given mode.

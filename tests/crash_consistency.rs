@@ -583,13 +583,13 @@ fn interrupted_defrag_run_finishes_after_recovery() {
 // ---- cross-shard rename crash matrix --------------------------------------
 
 use mif::fsck::run_sharded;
-use mif::mds::{ShardedConfig, ShardedMds, XsCrashPoint};
+use mif::mds::{ShardedMds, XsCrashPoint};
 
 /// A 4-shard world with two striped directories and a rename route that
 /// provably crosses shards, plus enough bystander entries that a botched
 /// recovery has something to orphan.
 fn xs_world(seed: u64) -> (ShardedMds, (u32, String, u32, String)) {
-    let mut m = ShardedMds::new(ShardedConfig::with_shards(4));
+    let mut m = ShardedMds::new(4);
     let left = m.mkdir_striped("left");
     let right = m.mkdir_striped("right");
     let plain = m.mkdir("plain");
@@ -645,7 +645,7 @@ fn cross_shard_rename_crash_matrix() {
             let (mut m, (src, name, dst, new_name)) = xs_world(seed);
             m.rename_crash(src, &name, dst, &new_name, point, persisted);
 
-            let mut rec = ShardedMds::recover(&m.wal_images(), *m.config());
+            let mut rec = ShardedMds::recover(&m.wal_images(), m.shards());
             let expect = if point.commits() {
                 &rolled_forward
             } else {
@@ -676,7 +676,7 @@ fn cross_shard_rename_crash_matrix() {
 
             // Recovery is idempotent: recovering the recovered cluster's
             // own journal reaches the same namespace.
-            let again = ShardedMds::recover(&rec.wal_images(), *rec.config());
+            let again = ShardedMds::recover(&rec.wal_images(), rec.shards());
             assert_eq!(again.snapshot(), rec.snapshot(), "{ctx}: not idempotent");
         }
     }
@@ -697,7 +697,7 @@ fn crashed_rename_retry_converges() {
         let ctx = format!("{point:?}");
         let (mut m, (src, name, dst, new_name)) = xs_world(seed);
         m.rename_crash(src, &name, dst, &new_name, point, None);
-        let mut rec = ShardedMds::recover(&m.wal_images(), *m.config());
+        let mut rec = ShardedMds::recover(&m.wal_images(), m.shards());
         // The client saw no ack, so it retries exactly once.
         if !point.commits() {
             rec.rename(src, &name, dst, &new_name);

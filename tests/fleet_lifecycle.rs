@@ -10,7 +10,7 @@
 
 mod oracle;
 
-use mif::defrag::{drain_ost, recover, relocate_column, CrashPoint, DrainConfig, Outcome};
+use mif::defrag::{drain_ost, recover, relocate_column, CrashPoint, Outcome};
 use mif::fsck::FsckOptions;
 use mif::mds::wal::WAL_RECORD_BYTES;
 use mif::mds::RemapWal;
@@ -100,7 +100,7 @@ fn drain_crash_matrix_recovers_at_every_point() {
         assert_eq!((again.redone, again.rolled_back), (0, 0), "{ctx}");
 
         // The interrupted drain resumes to completion...
-        let stats = drain_ost(&mut fs, &mut wal, bay, &DrainConfig::default());
+        let stats = drain_ost(&mut fs, &mut wal, bay);
         assert!(stats.completed, "{ctx}: {stats:?}");
         assert_eq!(fs.ost_health(bay), DiskHealth::Absent, "{ctx}");
         assert_settled(&format!("{ctx} (drained)"), &mut fs, &spans);

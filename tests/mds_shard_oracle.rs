@@ -10,7 +10,7 @@
 //! with one line.
 
 use mif::fsck::run_sharded;
-use mif::mds::{ShardedConfig, ShardedMds};
+use mif::mds::ShardedMds;
 use mif::workloads::ZipfGen;
 use mif_rng::SmallRng;
 use std::collections::BTreeSet;
@@ -41,7 +41,7 @@ fn draw_name(dist: Dist, rng: &mut SmallRng, zipf: &mut ZipfGen, population: u32
 /// rename, each validated against a logical mirror so the exact same
 /// sequence applies cleanly at every shard count.
 fn drive(shards: usize, seed: u64, dist: Dist) -> ShardedMds {
-    let mut m = ShardedMds::new(ShardedConfig::with_shards(shards));
+    let mut m = ShardedMds::new(shards);
     let dirs = [
         m.mkdir("alpha"),
         m.mkdir("beta"),
@@ -131,7 +131,7 @@ fn recovered_cluster_matches_live_snapshot() {
         for dist in [Dist::Uniform, Dist::Zipf] {
             for shards in [2usize, 4, 8] {
                 let m = drive(shards, seed, dist);
-                let recovered = ShardedMds::recover(&m.wal_images(), *m.config());
+                let recovered = ShardedMds::recover(&m.wal_images(), m.shards());
                 assert_eq!(
                     recovered.snapshot(),
                     m.snapshot(),
@@ -139,7 +139,7 @@ fn recovered_cluster_matches_live_snapshot() {
                 );
                 // Recovery of a recovery is a fixpoint: the rebuilt WAL
                 // replays to the same place.
-                let twice = ShardedMds::recover(&recovered.wal_images(), *recovered.config());
+                let twice = ShardedMds::recover(&recovered.wal_images(), recovered.shards());
                 assert_eq!(
                     twice.snapshot(),
                     m.snapshot(),

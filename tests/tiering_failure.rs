@@ -10,7 +10,7 @@ use mif::fsck::{run, FsckOptions};
 use mif::mds::RemapWal;
 use mif::pfs::{ConcurrentFs, FsConfig};
 use mif::simdisk::IoFault;
-use mif::tier::{Heat, TierConfig, TierEngine};
+use mif::tier::{Heat, TierEngine};
 use std::sync::atomic::{AtomicBool, Ordering};
 
 const OSTS: u32 = 6;
@@ -48,7 +48,7 @@ fn disk_death_degraded_service_and_live_rebuild() {
     // Register both files with the classifier (the setup writes), then
     // let threaded read traffic on the hot file build heat while the
     // cold file's estimate decays: 4 threads x 4 reads per tick.
-    let mut engine = TierEngine::new(TierConfig::default());
+    let mut engine = TierEngine::default();
     engine.observe(&cfs.drain_access());
     for _ in 0..12 {
         std::thread::scope(|sc| {
