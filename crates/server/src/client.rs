@@ -23,12 +23,17 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 
 use crate::protocol::{ClientId, Op, Reply, Request, SeqNo, Status};
-use crate::server::{Server, ServerDead};
+use crate::server::{Server, SubmitError};
+use crate::session::Session;
 
 /// One client connection. See the module docs.
 pub struct ClientConn {
     server: Arc<Server>,
     client_id: ClientId,
+    /// This client's session, resolved once at connect and kept across
+    /// [`Self::restart`] (it is the same table entry): submits and polls
+    /// never take the table lock.
+    session: Arc<Session>,
     /// Every request is encoded into this one buffer (the queue copies).
     frame: Vec<u8>,
     /// The client-side pipelining window (how many requests may be
@@ -62,6 +67,7 @@ impl ClientConn {
         assert!(window >= 1, "a zero window can never submit");
         ClientConn {
             frame: Vec::new(),
+            session: server.sessions.session(client_id),
             server,
             client_id,
             window,
@@ -104,11 +110,12 @@ impl ClientConn {
     }
 
     /// Submit the next op in this client's program. Blocks (reaping)
-    /// while the pipelining window is full; never skips or reorders.
-    pub fn submit(&mut self, op: Op) -> Result<SeqNo, ServerDead> {
+    /// while the pipelining window is full; never skips or reorders. A
+    /// refused op takes no `seq_no`: the next one is sent in its place.
+    pub fn submit(&mut self, op: Op) -> Result<SeqNo, SubmitError> {
         while self.unacked.len() >= self.window {
             if !self.reap(true) {
-                return Err(ServerDead);
+                return Err(SubmitError::ServerDead);
             }
         }
         let req = Request {
@@ -117,20 +124,22 @@ impl ClientConn {
             sent_at_ns: self.server.now_ns(),
             op,
         };
+        self.server
+            .submit_with(&self.session, &req, &mut self.frame)?;
         self.next_seq += 1;
-        self.unacked.push_back(req.clone());
         if let Some(log) = &mut self.sent_log {
             log.push(req.clone());
         }
-        self.server.submit_with(&req, &mut self.frame)?;
-        Ok(req.seq_no)
+        let seq_no = req.seq_no;
+        self.unacked.push_back(req);
+        Ok(seq_no)
     }
 
     /// Absorb whatever acks the server has delivered. With `wait`, parks
     /// for at least one. Returns `false` once the server is dead and the
     /// inbox is empty.
     pub fn reap(&mut self, wait: bool) -> bool {
-        let acks = self.server.take_acks(self.client_id, wait);
+        let acks = self.session.take_acks(wait, &self.server.dead);
         if acks.is_empty() {
             return !self.server.is_dead();
         }
@@ -182,11 +191,12 @@ impl ClientConn {
     /// unacked suffix (same seq_nos, same ops — the frames are replayed
     /// verbatim from the send buffer). The server replays what it already
     /// applied and executes only the new tail.
-    pub fn restart(self) -> Result<ClientConn, ServerDead> {
+    pub fn restart(self) -> Result<ClientConn, SubmitError> {
         let mut conn = ClientConn {
             frame: self.frame,
             server: self.server,
             client_id: self.client_id,
+            session: self.session,
             window: self.window,
             next_seq: self.next_seq,
             highest_acked: self.highest_acked,
@@ -196,7 +206,8 @@ impl ClientConn {
             sent_log: self.sent_log,
         };
         for req in self.unacked {
-            conn.server.submit_with(&req, &mut conn.frame)?;
+            conn.server
+                .submit_with(&conn.session, &req, &mut conn.frame)?;
             conn.unacked.push_back(req);
         }
         Ok(conn)
@@ -205,7 +216,7 @@ impl ClientConn {
     /// Duplicate storm: re-send every already-acked request from the send
     /// log (connect with `record_log = true`). Returns how many went out;
     /// pair with [`Self::await_stale`] to absorb the answers.
-    pub fn resend_acked(&mut self) -> Result<u64, ServerDead> {
+    pub fn resend_acked(&mut self) -> Result<u64, SubmitError> {
         let log = self
             .sent_log
             .clone()
@@ -213,7 +224,8 @@ impl ClientConn {
         let mut sent = 0;
         for req in &log {
             if req.seq_no <= self.highest_acked {
-                self.server.submit_with(req, &mut self.frame)?;
+                self.server
+                    .submit_with(&self.session, req, &mut self.frame)?;
                 sent += 1;
             }
         }
@@ -234,6 +246,7 @@ impl ClientConn {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::MAX_NAME_BYTES;
     use crate::server::ServerConfig;
     use mif_alloc::PolicyKind;
     use mif_core::{ConcurrentFs, FsConfig};
@@ -305,6 +318,73 @@ mod tests {
         c.submit(Op::Sync).unwrap();
         assert!(c.drain());
         assert_eq!(c.replies().len() as u64, OPS + 1);
+        srv.shutdown();
+    }
+
+    #[test]
+    fn a_connection_keeps_its_session_across_restart_and_reconnect() {
+        let srv = server();
+        let c = ClientConn::connect(Arc::clone(&srv), 6, 4, false);
+        let bound = Arc::clone(&c.session);
+        let c = c.restart().unwrap();
+        assert!(Arc::ptr_eq(&bound, &c.session), "restart rebound");
+        let again = ClientConn::connect(Arc::clone(&srv), 6, 4, false);
+        assert!(Arc::ptr_eq(&bound, &again.session), "reconnect rebound");
+        assert!(Arc::ptr_eq(&bound, &srv.sessions.session(6)));
+        assert_eq!(srv.stats().sessions, 1);
+        srv.shutdown();
+    }
+
+    #[test]
+    fn an_empty_poll_is_live_and_the_next_one_sees_a_delivery() {
+        let srv = server();
+        let mut c = ClientConn::connect(Arc::clone(&srv), 7, 4, true);
+        assert!(c.reap(false), "an empty inbox on a live server");
+        assert!(c.replies().is_empty());
+        c.submit(Op::Sync).unwrap();
+        assert!(c.drain());
+        assert!(c.reap(false));
+        assert_eq!(c.stale_seen(), 0);
+        // A duplicate's answer, delivered the way a worker delivers one:
+        // the very next poll reaps it.
+        c.session.deliver_again(c.replies()[0]);
+        assert!(c.reap(false));
+        assert_eq!(c.stale_seen(), 1);
+        srv.shutdown();
+    }
+
+    #[test]
+    fn an_oversized_name_is_refused_before_admission() {
+        let srv = server();
+        let mut c = ClientConn::connect(Arc::clone(&srv), 11, 4, false);
+        let name = "n".repeat(MAX_NAME_BYTES + 1);
+        for op in [
+            Op::Create {
+                name: name.clone(),
+                size_hint_blocks: None,
+            },
+            Op::Open { name },
+        ] {
+            assert_eq!(
+                c.submit(op),
+                Err(SubmitError::NameTooLong {
+                    len: MAX_NAME_BYTES + 1
+                })
+            );
+        }
+        assert_eq!(srv.stats().submitted, 0);
+        assert_eq!(c.unacked().count(), 0, "a refused op takes no seq_no");
+        // The connection goes on: the next ops take seq 1 and 2, and ack.
+        assert_eq!(c.submit(Op::Sync), Ok(1));
+        let longest = c.submit(Op::Create {
+            name: "n".repeat(MAX_NAME_BYTES),
+            size_hint_blocks: None,
+        });
+        assert_eq!(longest, Ok(2));
+        assert!(c.drain());
+        assert!(c.replies().iter().all(|r| r.status.ok()));
+        let stats = srv.stats();
+        assert_eq!((stats.submitted, stats.executed, stats.rejected), (2, 2, 0));
         srv.shutdown();
     }
 

@@ -60,8 +60,8 @@ pub mod session;
 pub use client::ClientConn;
 pub use protocol::{
     decode_request, encode_request, encode_request_into, ClientId, FrameError, Handle, Op, Reply,
-    Request, SeqNo, Status,
+    Request, SeqNo, Status, MAX_NAME_BYTES,
 };
 pub use queue::{BoundedQueue, FrameBatch};
-pub use server::{Server, ServerConfig, ServerDead, ServerStats};
+pub use server::{Server, ServerConfig, ServerStats, SubmitError};
 pub use session::{Dispatch, Session, SessionTable};

@@ -52,6 +52,10 @@ pub type SeqNo = u64;
 /// A server-issued file handle ([`mif_alloc::FileId`] raw value).
 pub type Handle = u64;
 
+/// The longest name a `Create` / `Open` frame carries: its length travels
+/// as a `u16`.
+pub const MAX_NAME_BYTES: usize = u16::MAX as usize;
+
 const MAGIC: [u8; 4] = *b"MIFQ";
 const HEADER_BYTES: usize = 33;
 const CHECKSUM_BYTES: usize = 8;
@@ -93,6 +97,14 @@ impl Op {
     /// watermark; read-only acks do not.
     pub fn is_mutating(&self) -> bool {
         !matches!(self, Op::Open { .. } | Op::Read { .. })
+    }
+
+    /// The name a `Create` / `Open` carries.
+    pub(crate) fn name(&self) -> Option<&str> {
+        match self {
+            Op::Create { name, .. } | Op::Open { name } => Some(name),
+            _ => None,
+        }
     }
 
     fn opcode(&self) -> u8 {
@@ -218,6 +230,8 @@ pub fn encode_request(req: &Request) -> Vec<u8> {
 /// is known before the first byte is written, so `out` grows at most once,
 /// to exactly that length — and not at all once it has held a frame as
 /// long: a caller that keeps `out` encodes without touching the heap.
+/// A name longer than [`MAX_NAME_BYTES`] makes a frame that strict decode
+/// refuses; `Server::submit` turns such a request away before encoding.
 pub fn encode_request_into(out: &mut Vec<u8>, req: &Request) {
     let len = HEADER_BYTES + payload_len(&req.op) + CHECKSUM_BYTES;
     out.clear();

@@ -17,6 +17,11 @@
 //! per frame every worker-side `free` contends for the submitter's malloc
 //! arena, on the worker's critical path.
 //!
+//! A wake costs a `FUTEX_WAKE` syscall even when nobody sleeps, so the
+//! queue counts its sleeping worker and its parked submitters and signals a
+//! condvar only when its count is non-zero (docs/SERVER.md, "Who wakes
+//! whom").
+//!
 //! Lock discipline: the internal mutex is rank
 //! [`LockClass::ServerQueue`] — above every engine lock (a worker always
 //! releases the queue before touching `ConcurrentFs`), below
@@ -79,6 +84,11 @@ struct Inner {
     /// Queued frames: what `capacity` bounds.
     frames: usize,
     closed: bool,
+    /// Threads waiting on `not_empty` / `not_full` right now. A waiter
+    /// counts itself in under the lock before it waits, and a notifier
+    /// reads the count under the same lock: no waiter, no wake syscall.
+    sleeping_workers: usize,
+    parked_pushers: usize,
 }
 
 /// A bounded, closeable, park-don't-drop frame queue.
@@ -105,6 +115,8 @@ impl BoundedQueue {
                 head: 0,
                 frames: 0,
                 closed: false,
+                sleeping_workers: 0,
+                parked_pushers: 0,
             }),
             not_empty: Condvar::new(),
             not_full: Condvar::new(),
@@ -124,7 +136,9 @@ impl BoundedQueue {
         if inner.frames >= self.capacity && !inner.closed {
             self.parks.fetch_add(1, Ordering::Relaxed);
             while inner.frames >= self.capacity && !inner.closed {
+                inner.parked_pushers += 1;
                 inner = self.not_full.wait(inner).unwrap();
+                inner.parked_pushers -= 1;
             }
         }
         if inner.closed {
@@ -137,9 +151,12 @@ impl BoundedQueue {
         inner.frames += 1;
         self.max_depth
             .fetch_max(inner.frames as u64, Ordering::Relaxed);
+        let wake = inner.sleeping_workers > 0;
         drop(inner);
         drop(token);
-        self.not_empty.notify_one();
+        if wake {
+            self.not_empty.notify_one();
+        }
         Ok(())
     }
 
@@ -151,7 +168,9 @@ impl BoundedQueue {
         let token = lockorder::acquire(LockClass::ServerQueue);
         let mut guard = self.inner.lock().unwrap();
         while guard.frames == 0 && !guard.closed {
+            guard.sleeping_workers += 1;
             guard = self.not_empty.wait(guard).unwrap();
+            guard.sleeping_workers -= 1;
         }
         let inner = &mut *guard;
         batch.frames = inner.frames.min(max);
@@ -176,9 +195,10 @@ impl BoundedQueue {
             }
         }
         inner.frames -= batch.frames;
+        let wake = inner.parked_pushers > 0;
         drop(guard);
         drop(token);
-        if !batch.is_empty() {
+        if wake {
             // Space freed: wake every parked submitter (they re-check).
             self.not_full.notify_all();
         }
@@ -289,6 +309,63 @@ mod tests {
         };
         q.push(&[7]).unwrap();
         assert_eq!(consumer.join().unwrap(), vec![vec![7]]);
+    }
+
+    /// `(worker asleep, submitters parked, frames queued)`, read under the
+    /// queue's lock.
+    fn sleep_state(q: &BoundedQueue) -> (usize, usize, usize) {
+        let inner = q.inner.lock().unwrap();
+        (inner.sleeping_workers, inner.parked_pushers, inner.frames)
+    }
+
+    #[test]
+    fn a_push_always_wakes_a_sleeping_worker() {
+        // Every frame is pushed only once the worker has taken the last
+        // one and gone back to sleep. `pop_batch` waits without a
+        // timeout, so a single lost wake hangs this test.
+        const FRAMES: u32 = 20_000;
+        let q = Arc::new(BoundedQueue::new(4));
+        let worker = {
+            let q = Arc::clone(&q);
+            std::thread::spawn(move || {
+                for i in 0..FRAMES {
+                    assert_eq!(pop(&q, 4), vec![i.to_le_bytes().to_vec()]);
+                }
+            })
+        };
+        for i in 0..FRAMES {
+            while sleep_state(&q) != (1, 0, 0) {
+                std::thread::yield_now();
+            }
+            q.push(&i.to_le_bytes()).unwrap();
+        }
+        worker.join().unwrap();
+    }
+
+    #[test]
+    fn a_pop_always_wakes_a_parked_push() {
+        // Every pop happens only once the submitter is parked behind a
+        // full queue. `push` parks without a timeout, so a single lost
+        // wake hangs this test.
+        const ROUNDS: u32 = 2_000;
+        let q = Arc::new(BoundedQueue::new(1));
+        let submitter = {
+            let q = Arc::clone(&q);
+            std::thread::spawn(move || {
+                for i in 0..=ROUNDS {
+                    q.push(&i.to_le_bytes()).unwrap();
+                }
+            })
+        };
+        for i in 0..ROUNDS {
+            while sleep_state(&q) != (0, 1, 1) {
+                std::thread::yield_now();
+            }
+            assert_eq!(pop(&q, 1), vec![i.to_le_bytes().to_vec()]);
+        }
+        submitter.join().unwrap();
+        assert_eq!(pop(&q, 1), vec![ROUNDS.to_le_bytes().to_vec()]);
+        assert_eq!(q.parks(), ROUNDS as u64);
     }
 
     #[test]

@@ -39,6 +39,7 @@ use mif_core::{ConcurrentFs, OpenFile};
 
 use crate::protocol::{
     decode_request, encode_request_into, ClientId, Op, Reply, Request, SeqNo, Status,
+    MAX_NAME_BYTES,
 };
 use crate::queue::{BoundedQueue, FrameBatch};
 use crate::session::{Dispatch, Session, SessionTable};
@@ -74,10 +75,16 @@ impl Default for ServerConfig {
     }
 }
 
-/// Submission failed because the server is dead (shut down, or killed by
-/// a simulated power cut).
+/// Why a submission was refused.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ServerDead;
+pub enum SubmitError {
+    /// The server is dead (shut down, or killed by a simulated power cut).
+    ServerDead,
+    /// A `Create` / `Open` name of more than [`MAX_NAME_BYTES`]: no frame
+    /// can carry it. Refused before admission, so it costs the client
+    /// neither a window slot nor a `seq_no`.
+    NameTooLong { len: usize },
+}
 
 /// Aggregate service counters (the bench's evidence block).
 #[derive(Debug, Clone, Copy, Default)]
@@ -138,10 +145,11 @@ pub struct Server {
     fs: ConcurrentFs,
     cfg: ServerConfig,
     queues: Vec<Arc<BoundedQueue>>,
-    sessions: SessionTable,
+    /// A connection resolves its session here once, at connect.
+    pub(crate) sessions: SessionTable,
     /// Set on shutdown or power-cut death; checked by submitters, parked
     /// admission waits, and reapers.
-    dead: AtomicBool,
+    pub(crate) dead: AtomicBool,
     epoch: Instant,
     workers: Mutex<Vec<JoinHandle<()>>>,
     submitted: AtomicU64,
@@ -201,24 +209,31 @@ impl Server {
     /// in-flight window is full), framed, and enqueued on the client's
     /// shard. Never drops and never reorders a client's requests — a full
     /// queue parks the submitter until the worker frees space.
-    pub fn submit(&self, req: &Request) -> Result<(), ServerDead> {
-        self.submit_with(req, &mut Vec::new())
+    pub fn submit(&self, req: &Request) -> Result<(), SubmitError> {
+        self.submit_with(&self.sessions.session(req.client_id), req, &mut Vec::new())
     }
 
-    /// [`Self::submit`] for a caller that keeps a buffer to encode into:
-    /// no allocation once `frame` has held a frame as long (the queue
-    /// copies it).
-    pub(crate) fn submit_with(&self, req: &Request, frame: &mut Vec<u8>) -> Result<(), ServerDead> {
-        if self.is_dead() {
-            return Err(ServerDead);
+    /// [`Self::submit`] for a caller that holds `req.client_id`'s session
+    /// and keeps a buffer to encode into: no table lookup, and no
+    /// allocation once `frame` has held a frame as long (the queue copies
+    /// it).
+    pub(crate) fn submit_with(
+        &self,
+        session: &Session,
+        req: &Request,
+        frame: &mut Vec<u8>,
+    ) -> Result<(), SubmitError> {
+        if let Some(len) = req.op.name().map(str::len).filter(|&n| n > MAX_NAME_BYTES) {
+            return Err(SubmitError::NameTooLong { len });
         }
-        let session = self.sessions.session(req.client_id);
-        if !session.admit(self.cfg.admission_window, &self.dead) {
-            return Err(ServerDead);
+        if self.is_dead() || !session.admit(self.cfg.admission_window, &self.dead) {
+            return Err(SubmitError::ServerDead);
         }
         encode_request_into(frame, req);
         let shard = (req.client_id % self.queues.len() as u64) as usize;
-        self.queues[shard].push(frame).map_err(|_| ServerDead)?;
+        self.queues[shard]
+            .push(frame)
+            .map_err(|_| SubmitError::ServerDead)?;
         self.submitted.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
@@ -310,6 +325,9 @@ impl Server {
         let mut pending: Vec<PendingAck> = Vec::with_capacity(batch.len());
         // Highest WAL seqno staged by this batch's writes, if any.
         let mut max_wal_seq: Option<u64> = None;
+        // The session of the current run of frames from one client: the
+        // table is consulted once per run, not once per frame.
+        let mut run: Option<(ClientId, Arc<Session>)> = None;
         for frame in batch.iter() {
             let Ok(req) = decode_request(frame) else {
                 // Frames are checksummed end-to-end; a decode failure has
@@ -320,7 +338,13 @@ impl Server {
             if self.cfg.worker_delay_ns > 0 {
                 std::thread::sleep(Duration::from_nanos(self.cfg.worker_delay_ns));
             }
-            let session = self.sessions.session(req.client_id);
+            let session = match &run {
+                Some((id, s)) if *id == req.client_id => Arc::clone(s),
+                _ => Arc::clone(
+                    &run.insert((req.client_id, self.sessions.session(req.client_id)))
+                        .1,
+                ),
+            };
             match session.dispatch(req.seq_no) {
                 Dispatch::Execute => {
                     let status = self.apply(&req.op, req.client_id, &mut max_wal_seq);
@@ -744,6 +768,9 @@ mod tests {
         server.shutdown();
         server.shutdown();
         assert!(server.is_dead());
-        assert_eq!(server.submit(&req(1, 1, Op::Sync)), Err(ServerDead));
+        assert_eq!(
+            server.submit(&req(1, 1, Op::Sync)),
+            Err(SubmitError::ServerDead)
+        );
     }
 }

@@ -22,10 +22,15 @@
 //! [`LockClass::ServerSession`], the outermost rank of the whole stack.
 //! Workers take it only between engine calls (dispatch decision before,
 //! ack delivery after), never across one.
+//!
+//! A connection resolves its session once and keeps the `Arc`, so the
+//! table's lock is taken per connection, not per request. A delivery
+//! signals the condvar only when a thread sleeps on it (docs/SERVER.md,
+//! "Who wakes whom").
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, RwLock};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, RwLock};
 use std::time::Duration;
 
 use mif_alloc::lockorder::{self, LockClass};
@@ -55,6 +60,9 @@ struct SessionState {
     inbox: VecDeque<Reply>,
     /// Requests admitted but not yet acked (admission window accounting).
     inflight: usize,
+    /// Threads asleep on `changed` in `admit` / `take_acks(true)`. A
+    /// delivery signals the condvar only when this is non-zero.
+    waiters: usize,
 }
 
 impl SessionState {
@@ -86,6 +94,7 @@ impl Session {
                 replay_cache: VecDeque::with_capacity(cache_cap),
                 inbox: VecDeque::new(),
                 inflight: 0,
+                waiters: 0,
             }),
             changed: Condvar::new(),
             cache_cap,
@@ -107,13 +116,7 @@ impl Session {
             if dead.load(Ordering::Acquire) {
                 return false;
             }
-            // Timed wait so a death that never delivers acks still wakes
-            // us to observe the flag.
-            let (guard, _) = self
-                .changed
-                .wait_timeout(st, Duration::from_millis(10))
-                .unwrap();
-            st = guard;
+            st = self.wait(st);
         }
         if dead.load(Ordering::Acquire) {
             return false;
@@ -122,6 +125,21 @@ impl Session {
         drop(st);
         drop(token);
         true
+    }
+
+    /// Sleep until a delivery (or 10 ms) passes, counted in `waiters` so
+    /// the delivery knows to wake us. We count ourselves in under the lock
+    /// the deliverer reads the count under, so either it sees us or we see
+    /// its ack. Timed, so that a death that never delivers an ack still
+    /// wakes us to observe the flag.
+    fn wait<'a>(&self, mut st: MutexGuard<'a, SessionState>) -> MutexGuard<'a, SessionState> {
+        st.waiters += 1;
+        let (mut st, _) = self
+            .changed
+            .wait_timeout(st, Duration::from_millis(10))
+            .unwrap();
+        st.waiters -= 1;
+        st
     }
 
     /// Classify an arriving `seq_no` against this session's history.
@@ -175,16 +193,12 @@ impl Session {
     /// (the durability gate has passed): stamp the cached reply's ack
     /// time, inbox the ack, release one admission slot.
     pub fn deliver_applied(&self, reply: Reply) {
-        let token = lockorder::acquire(LockClass::ServerSession);
-        let mut st = self.state.lock().unwrap();
-        if let Some(at) = st.cached(reply.seq_no) {
-            st.replay_cache[at].acked_at_ns = reply.acked_at_ns;
-        }
-        st.inbox.push_back(reply);
-        st.inflight = st.inflight.saturating_sub(1);
-        drop(st);
-        drop(token);
-        self.changed.notify_all();
+        self.deliver(|st| {
+            if let Some(at) = st.cached(reply.seq_no) {
+                st.replay_cache[at].acked_at_ns = reply.acked_at_ns;
+            }
+            reply
+        });
     }
 
     /// Record + deliver in one step (the single-request convenience used
@@ -199,35 +213,40 @@ impl Session {
     /// original picks up the original's final ack stamp. Falls back to
     /// `TooOld` if the entry aged out between dispatch and delivery.
     pub fn deliver_replay(&self, client_id: ClientId, seq_no: SeqNo, now_ns: u64) {
-        let token = lockorder::acquire(LockClass::ServerSession);
-        let mut st = self.state.lock().unwrap();
-        let reply = st.cached(seq_no).map_or(
-            Reply {
-                client_id,
-                seq_no,
-                status: Status::TooOld,
-                acked_at_ns: now_ns,
-            },
-            |at| st.replay_cache[at],
-        );
-        st.inbox.push_back(reply);
-        st.inflight = st.inflight.saturating_sub(1);
-        drop(st);
-        drop(token);
-        self.changed.notify_all();
+        self.deliver(|st| {
+            st.cached(seq_no).map_or(
+                Reply {
+                    client_id,
+                    seq_no,
+                    status: Status::TooOld,
+                    acked_at_ns: now_ns,
+                },
+                |at| st.replay_cache[at],
+            )
+        });
     }
 
     /// Deliver a duplicate's answer (a cached replay, `TooOld`, or a
     /// `SeqGap`/`Invalid` rejection): inbox + admission slot only —
     /// `last_applied` and the cache are untouched.
     pub fn deliver_again(&self, reply: Reply) {
+        self.deliver(|_| reply);
+    }
+
+    /// Inbox the reply `ack` computes under the lock, release one
+    /// admission slot, and wake the session's waiters if there are any.
+    fn deliver(&self, ack: impl FnOnce(&mut SessionState) -> Reply) {
         let token = lockorder::acquire(LockClass::ServerSession);
         let mut st = self.state.lock().unwrap();
+        let reply = ack(&mut st);
         st.inbox.push_back(reply);
         st.inflight = st.inflight.saturating_sub(1);
+        let wake = st.waiters > 0;
         drop(st);
         drop(token);
-        self.changed.notify_all();
+        if wake {
+            self.changed.notify_all();
+        }
     }
 
     /// Reap delivered acks in delivery order. With `wait`, parks until at
@@ -240,11 +259,7 @@ impl Session {
             if dead.load(Ordering::Acquire) {
                 break;
             }
-            let (guard, _) = self
-                .changed
-                .wait_timeout(st, Duration::from_millis(10))
-                .unwrap();
-            st = guard;
+            st = self.wait(st);
         }
         let acks: Vec<Reply> = st.inbox.drain(..).collect();
         drop(st);
@@ -443,6 +458,76 @@ mod tests {
         for h in handles {
             assert_eq!(h.join().unwrap(), 0, "death must refuse, not execute");
         }
+    }
+
+    /// `(threads asleep, inbox empty, admitted)`, read under the lock.
+    fn sleep_state(s: &Session) -> (usize, bool, usize) {
+        let st = s.state.lock().unwrap();
+        (st.waiters, st.inbox.is_empty(), st.inflight)
+    }
+
+    /// Run `rounds` deliveries, each only once `asleep` holds for the
+    /// session, against `other` running on its own thread, in under 2 s.
+    /// The waits are timed at 10 ms, so a lost wake shows as time, not as
+    /// a hang: 200 lost wakes alone take 2 s.
+    fn ping_pong(
+        rounds: u64,
+        asleep: (usize, bool, usize),
+        other: impl FnOnce(Arc<Session>) + Send + 'static,
+        s: Arc<Session>,
+    ) {
+        let start = std::time::Instant::now();
+        let other = {
+            let s = Arc::clone(&s);
+            std::thread::spawn(move || other(s))
+        };
+        for seq in 1..=rounds {
+            while sleep_state(&s) != asleep {
+                std::thread::yield_now();
+            }
+            s.deliver_new(reply(seq, Status::Done));
+        }
+        other.join().unwrap();
+        let took = start.elapsed();
+        assert!(
+            took < Duration::from_secs(2),
+            "{rounds} round trips: {took:?}"
+        );
+    }
+
+    #[test]
+    fn a_delivery_always_wakes_a_sleeping_reaper() {
+        const ROUNDS: u64 = 1_000;
+        ping_pong(
+            ROUNDS,
+            (1, true, 0),
+            |s| {
+                let dead = AtomicBool::new(false);
+                for seq in 1..=ROUNDS {
+                    assert_eq!(s.take_acks(true, &dead), [reply(seq, Status::Done)]);
+                }
+            },
+            Arc::new(session(4)),
+        );
+    }
+
+    #[test]
+    fn a_delivery_always_wakes_a_parked_admission() {
+        const ROUNDS: u64 = 1_000;
+        let s = Arc::new(session(4));
+        assert!(s.admit(1, &AtomicBool::new(false)));
+        ping_pong(
+            ROUNDS,
+            (1, true, 1),
+            |s| {
+                let dead = AtomicBool::new(false);
+                for _ in 0..ROUNDS {
+                    assert!(s.admit(1, &dead));
+                    s.take_acks(false, &dead);
+                }
+            },
+            s,
+        );
     }
 
     #[test]
