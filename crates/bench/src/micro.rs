@@ -13,8 +13,9 @@ const MIN_ITERS: usize = 10;
 const MIN_TOTAL: Duration = Duration::from_millis(200);
 const MAX_ITERS: usize = 1000;
 
-/// Time `routine` over fresh `setup` state; print one summary line.
-pub fn bench<S, R, T>(name: &str, mut setup: S, mut routine: R)
+/// Time `routine` over fresh `setup` state; print one summary line and
+/// return the median.
+pub fn bench<S, R, T>(name: &str, mut setup: S, mut routine: R) -> Duration
 where
     S: FnMut() -> T,
     R: FnMut(T) -> T,
@@ -41,6 +42,7 @@ where
         fmt(mean),
         samples.len()
     );
+    median
 }
 
 fn fmt(d: Duration) -> String {

@@ -106,12 +106,12 @@ use mif_alloc::{
 };
 use mif_extent::{Extent, ExtentTree};
 use mif_mds::{encode_write_record, GroupCommitWal, InodeNo, Mds, WriteCommit, ROOT_INO};
+use mif_rng::IdMap;
 use mif_simdisk::{
     BlockRequest, Disk, DiskHealth, DiskStats, FaultPlan, FaultStats, IoFault, Nanos,
     SharedDiskStats,
 };
-use std::collections::{HashMap, HashSet};
-use std::hash::{BuildHasherDefault, Hasher};
+use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 
@@ -124,40 +124,6 @@ const MDS_CPU_NS_PER_EXTENT: u64 = 50_000;
 
 /// Why a `get_mut` / `lock` on engine state can fail at all.
 pub(crate) const POISONED: &str = "a thread panicked holding engine state";
-
-/// Hasher for the maps every write probes, keyed by [`FileId`] and
-/// [`StreamId`]: each integer is folded in with one widening multiply
-/// (high half xor low half, so bucket and tag bits both depend on every
-/// key bit). Std's SipHash costs more than the rest of a cached window
-/// lookup. Like std's, the iteration order it gives is unspecified. It
-/// does not resist crafted collisions: `StreamId::pid` is client-chosen,
-/// and the worst a client gains is slower window lookups on files it
-/// writes.
-#[derive(Default)]
-pub(crate) struct IdHasher(u64);
-
-impl Hasher for IdHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u64(b as u64);
-        }
-    }
-
-    fn write_u32(&mut self, n: u32) {
-        self.write_u64(n as u64);
-    }
-
-    fn write_u64(&mut self, n: u64) {
-        let wide = (self.0 ^ n) as u128 * 0x9E37_79B9_7F4A_7C15;
-        self.0 = wide as u64 ^ (wide >> 64) as u64;
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-pub(crate) type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
 
 /// One per-OST piece of a request, as [`Striping::pieces`] yields them:
 /// `(column, OST-local start, len, file logical start)`.

@@ -16,6 +16,13 @@
 //! the same call sequence produce the same values on every platform.
 //! Failure messages that print a seed are therefore sufficient to
 //! reproduce a run exactly.
+//!
+//! It also carries [`IdHasher`] / [`IdMap`], the one integer hasher the
+//! crates above it share, since this is the lowest crate they all depend on.
+
+mod hash;
+
+pub use hash::{IdHasher, IdMap};
 
 /// A small, fast, seedable PRNG (xoshiro256++).
 #[derive(Debug, Clone, PartialEq, Eq)]

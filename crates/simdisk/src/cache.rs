@@ -6,22 +6,41 @@
 //! data still goes to the platter — the cache only short-circuits reads).
 //!
 //! The unit of bookkeeping is the contiguous run, not the block: cached
-//! blocks live as disjoint runs threaded on one LRU list, and the only
-//! index is a B-tree keyed by run start. The LRU order of the *blocks* is
-//! list position first, ascending block number inside a run second. Every
-//! caller touches a range in ascending block order, so "touch a range" is
-//! exactly "cut the range out of whatever runs hold parts of it, leaving
-//! the remainders where they are, and append it at the newest end" — the
-//! victim of every eviction is the one a per-block LRU would pick, at
-//! O(log runs) per request instead of a handful of map operations per block.
+//! blocks live as disjoint runs threaded on one LRU list. The LRU order of
+//! the *blocks* is list position first, ascending block number inside a
+//! run second. Every caller touches a range in ascending block order, so
+//! "touch a range" is exactly "cut the range out of whatever runs hold
+//! parts of it, leaving the remainders where they are, and append it at the
+//! newest end" — the victim of every eviction is the one a per-block LRU
+//! would pick.
+//!
+//! The index is a hash map of 64-block buckets. No run crosses a bucket
+//! boundary: an appended range is cut at each boundary into ascending runs,
+//! adjacent in the list, which is the same block order as one run. So the
+//! run holding block `b` starts in bucket `b / 64`, and each bucket chains
+//! the (at most 64) runs starting in it. A lookup is one hash probe and a
+//! scan of one chain; eviction trims a run's low end, which stays in its
+//! bucket, so it never re-keys; a carve spanning more buckets than there
+//! are runs walks the runs instead of probing empty buckets. The map is
+//! probed, never iterated, so its hash order cannot reach a result.
 
 use crate::BlockNo;
-use std::collections::BTreeMap;
+use mif_rng::IdMap;
 
-/// Slab slot of "no run": list ends and empty-list head/tail.
+/// Blocks per index bucket, and so the most runs one chain can hold.
+/// Smaller buckets cut streaming runs too often; larger ones lengthen the
+/// chain every lookup scans.
+const BUCKET_BLOCKS: u64 = 64;
+
+/// Slab slot of "no run": list and chain ends, empty-list head/tail.
 const NIL: u32 = u32::MAX;
 
-/// One cached run `start..start + len`, linked into the LRU list.
+fn bucket(b: BlockNo) -> u64 {
+    b / BUCKET_BLOCKS
+}
+
+/// One cached run `start..start + len`, linked into the LRU list and into
+/// its bucket's chain.
 #[derive(Debug)]
 struct Run {
     start: BlockNo,
@@ -30,6 +49,8 @@ struct Run {
     prev: u32,
     /// Neighbour towards the newest run.
     next: u32,
+    /// Next run starting in the same bucket (chains are unordered).
+    chain: u32,
 }
 
 impl Run {
@@ -42,10 +63,10 @@ impl Run {
 #[derive(Debug)]
 pub struct BlockCache {
     capacity: u64,
-    /// Run start -> slab slot. Runs are disjoint, so the run holding block
-    /// `b` is the last one starting at or before `b`, if it reaches `b`.
-    index: BTreeMap<BlockNo, u32>,
-    /// Run slab; slots not in `index` are on `free`.
+    /// Bucket -> first slot of the chain of runs starting in it. A bucket
+    /// without runs has no entry.
+    index: IdMap<u64, u32>,
+    /// Run slab; slots not on a chain are on `free`.
     runs: Vec<Run>,
     free: Vec<u32>,
     /// Oldest run; eviction trims its low end.
@@ -61,7 +82,7 @@ impl BlockCache {
     pub fn new(capacity: usize) -> Self {
         Self {
             capacity: capacity as u64,
-            index: BTreeMap::new(),
+            index: IdMap::default(),
             runs: Vec::new(),
             free: Vec::new(),
             head: NIL,
@@ -98,17 +119,15 @@ impl BlockCache {
     /// Length of the contiguously-cached run starting at `start`, capped at
     /// `max` (the readahead pipeline's "runway").
     pub fn cached_run_len(&self, start: BlockNo, max: u64) -> u64 {
-        let Some((_, &slot)) = self.index.range(..=start).next_back() else {
+        let Some(slot) = self.find(start) else {
             return 0;
         };
         let mut end = self.runs[slot as usize].end();
-        if end <= start {
-            return 0;
-        }
-        // Block-adjacent runs continue the coverage.
+        // Block-adjacent runs continue the coverage; the run holding `end`
+        // can only start there.
         while end - start < max {
-            match self.index.get(&end) {
-                Some(&next) => end = self.runs[next as usize].end(),
+            match self.find(end) {
+                Some(next) => end = self.runs[next as usize].end(),
                 None => break,
             }
         }
@@ -142,6 +161,23 @@ impl BlockCache {
         self.cached = 0;
     }
 
+    /// The slot of the run holding block `b`, if one does.
+    fn find(&self, b: BlockNo) -> Option<u32> {
+        let mut slot = *self.index.get(&bucket(b))?;
+        while slot != NIL {
+            let run = &self.runs[slot as usize];
+            if run.start <= b && b < run.end() {
+                return Some(slot);
+            }
+            slot = run.chain;
+        }
+        None
+    }
+
+    fn live_runs(&self) -> usize {
+        self.runs.len() - self.free.len()
+    }
+
     /// Make `start..start+len` (`len > 0`) the newest blocks, in ascending
     /// order, caching whichever of them were not.
     fn touch_range(&mut self, start: BlockNo, len: u64) {
@@ -155,22 +191,33 @@ impl BlockCache {
         }
         // Exactly one whole run: move it, no index change. (It is not the
         // tail — that was a suffix of the tail.)
-        if let Some(&slot) = self.index.get(&start) {
-            if self.runs[slot as usize].len == len {
+        if let Some(slot) = self.find(start) {
+            let run = &self.runs[slot as usize];
+            if run.start == start && run.len == len {
                 self.unlink(slot);
                 self.push_newest(slot);
                 return;
             }
         }
         self.carve(start, end);
-        self.cached += len;
-        if self.tail != NIL && self.runs[self.tail as usize].end() == start {
-            // Streaming: the newest run grows, still ascending = older first.
-            self.runs[self.tail as usize].len += len;
-        } else {
-            let slot = self.alloc(start, len);
-            self.push_newest(slot);
-            self.index.insert(start, slot);
+        // Blocks before the last `capacity` would be evicted at once.
+        let mut at = start.max(end.saturating_sub(self.capacity));
+        self.cached += end - at;
+        // One run per bucket, oldest (lowest) first — except that the
+        // newest run grows when block-adjacent inside its bucket (streaming;
+        // still ascending = older first).
+        while at < end {
+            let len = (end - at).min(BUCKET_BLOCKS - at % BUCKET_BLOCKS);
+            let tail = self.tail as usize;
+            if self.tail != NIL && self.runs[tail].end() == at && !at.is_multiple_of(BUCKET_BLOCKS)
+            {
+                self.runs[tail].len += len;
+            } else {
+                let slot = self.alloc(at, len);
+                self.push_newest(slot);
+                self.runs[slot as usize].chain = self.index.insert(bucket(at), slot).unwrap_or(NIL);
+            }
+            at += len;
         }
     }
 
@@ -178,69 +225,98 @@ impl BlockCache {
     /// in the middle leaves its left and right remainders adjacent, in
     /// place, in the LRU list, so the survivors keep their relative order.
     fn carve(&mut self, start: BlockNo, end: BlockNo) {
-        // The run reaching into the range from below `start`, if any.
-        if let Some((&run_start, &slot)) = self.index.range(..start).next_back() {
-            let run_end = self.runs[slot as usize].end();
-            if run_end > start {
-                self.runs[slot as usize].len = start - run_start;
-                if run_end > end {
-                    let right = self.alloc(end, run_end - end);
-                    self.link_after(right, slot);
-                    self.index.insert(end, right);
-                    self.cached -= end - start;
-                    return;
-                }
-                self.cached -= run_end - start;
+        let (first, last) = (bucket(start), bucket(end - 1));
+        if last - first < self.live_runs() as u64 {
+            for k in first..=last {
+                self.carve_bucket(k, start, end);
             }
+            return;
         }
-        // Runs starting inside the range: dropped whole, except that the
-        // last may stick out past `end` and keeps that part, re-keyed.
-        while let Some((&run_start, &slot)) = self.index.range(start..end).next() {
-            self.index.remove(&run_start);
-            let run_end = self.runs[slot as usize].end();
-            if run_end > end {
-                let run = &mut self.runs[slot as usize];
-                run.start = end;
-                run.len = run_end - end;
-                self.index.insert(end, slot);
-                self.cached -= end - run_start;
-                return;
+        // More buckets than runs: walk the runs and carve each one's overlap
+        // alone, which drops or trims that run only, so `next` stays valid.
+        let mut slot = self.head;
+        while slot != NIL {
+            let run = &self.runs[slot as usize];
+            let (run_start, run_end, next) = (run.start, run.end(), run.next);
+            if run_start < end && run_end > start {
+                self.carve_bucket(bucket(run_start), run_start.max(start), run_end.min(end));
             }
-            self.cached -= run_end - run_start;
-            self.unlink(slot);
-            self.free.push(slot);
+            slot = next;
+        }
+    }
+
+    /// [`Self::carve`] for the runs starting in bucket `k`.
+    fn carve_bucket(&mut self, k: u64, start: BlockNo, end: BlockNo) {
+        let Some(&old_first) = self.index.get(&k) else {
+            return;
+        };
+        // `kept`: the last run left on the chain, whose link skips drops.
+        let (mut first, mut kept, mut slot) = (old_first, NIL, old_first);
+        while slot != NIL {
+            let run = &mut self.runs[slot as usize];
+            let (run_start, run_end, next) = (run.start, run.end(), run.chain);
+            if run_end <= start || run_start >= end {
+                kept = slot;
+            } else if start <= run_start && run_end <= end {
+                self.cached -= run.len;
+                match kept {
+                    NIL => first = next,
+                    p => self.runs[p as usize].chain = next,
+                }
+                self.unlink(slot);
+                self.free.push(slot);
+            } else {
+                // Trimmed in place; a middle cut adds the right remainder
+                // after it, in the list and on the chain.
+                self.cached -= run_end.min(end) - run_start.max(start);
+                if run_start < start {
+                    run.len = start - run_start;
+                    if run_end > end {
+                        let right = self.alloc(end, run_end - end);
+                        self.link_after(right, slot);
+                        self.runs[right as usize].chain = next;
+                        self.runs[slot as usize].chain = right;
+                    }
+                } else {
+                    run.start = end;
+                    run.len = run_end - end;
+                }
+                kept = slot;
+            }
+            slot = next;
+        }
+        if first == NIL {
+            self.index.remove(&k);
+        } else if first != old_first {
+            self.index.insert(k, first);
         }
     }
 
     /// Trim the oldest blocks — the low end of the oldest run — until the
-    /// cache fits. An insert longer than the capacity evicts its own front.
+    /// cache fits. A trimmed run's new start stays in its bucket.
     fn evict(&mut self) {
         while self.cached > self.capacity {
             let excess = self.cached - self.capacity;
-            let slot = self.head;
-            let run = &mut self.runs[slot as usize];
-            let old_start = run.start;
-            self.index.remove(&old_start);
+            let run = &mut self.runs[self.head as usize];
             if run.len <= excess {
-                self.cached -= run.len;
-                self.unlink(slot);
-                self.free.push(slot);
+                let (start, end) = (run.start, run.end());
+                self.carve(start, end);
             } else {
                 run.start += excess;
                 run.len -= excess;
-                self.index.insert(old_start + excess, slot);
                 self.cached -= excess;
             }
         }
     }
 
-    /// A slab slot holding the (unlinked, unindexed) run `start..start+len`.
+    /// A slab slot holding the (unlinked, unchained) run `start..start+len`.
     fn alloc(&mut self, start: BlockNo, len: u64) -> u32 {
         let run = Run {
             start,
             len,
             prev: NIL,
             next: NIL,
+            chain: NIL,
         };
         match self.free.pop() {
             Some(slot) => {
@@ -296,7 +372,7 @@ impl BlockCache {
 mod tests {
     use super::*;
     use mif_rng::SmallRng;
-    use std::collections::HashMap;
+    use std::collections::{BTreeMap, HashMap};
 
     #[test]
     fn hit_after_insert() {
@@ -425,22 +501,36 @@ mod tests {
 
     impl BlockCache {
         /// `(start, len)` of every run, oldest first, after checking the
-        /// structure: list links both ways, index == linked runs, slab and
-        /// block accounting.
+        /// structure: list links both ways; no run crosses a bucket; each
+        /// chain holds exactly the runs starting in its bucket and no empty
+        /// chain is kept; slab and block accounting.
         fn run_list(&self) -> Vec<(BlockNo, u64)> {
             let mut out = Vec::new();
+            let mut by_bucket: BTreeMap<u64, Vec<u32>> = BTreeMap::new();
             let (mut prev, mut slot) = (NIL, self.head);
             while slot != NIL {
                 let run = &self.runs[slot as usize];
                 assert_eq!(run.prev, prev);
                 assert!(run.len > 0);
-                assert_eq!(self.index.get(&run.start), Some(&slot));
+                assert_eq!(bucket(run.start), bucket(run.end() - 1), "{run:?} crosses");
+                by_bucket.entry(bucket(run.start)).or_default().push(slot);
                 out.push((run.start, run.len));
                 (prev, slot) = (slot, run.next);
             }
             assert_eq!(self.tail, prev);
-            assert_eq!(self.index.len(), out.len());
-            assert_eq!(self.index.len() + self.free.len(), self.runs.len());
+            assert_eq!(self.index.len(), by_bucket.len());
+            for (k, mut want) in by_bucket {
+                let mut chain = Vec::new();
+                let mut at = self.index[&k];
+                while at != NIL {
+                    chain.push(at);
+                    at = self.runs[at as usize].chain;
+                }
+                chain.sort_unstable();
+                want.sort_unstable();
+                assert_eq!(chain, want, "chain of bucket {k}");
+            }
+            assert_eq!(out.len(), self.live_runs());
             assert_eq!(out.iter().map(|r| r.1).sum::<u64>(), self.cached);
             out
         }
@@ -450,6 +540,42 @@ mod tests {
             let runs = self.run_list();
             runs.iter().flat_map(|&(s, len)| s..s + len).collect()
         }
+    }
+
+    /// Apply one random call to both caches and check they agree on its
+    /// answer, their size and the LRU order of every block.
+    fn step(
+        cache: &mut BlockCache,
+        oracle: &mut PerBlockLru,
+        rng: &mut SmallRng,
+        at: (u64, u64),
+        ctx: &str,
+    ) {
+        let (start, len) = at;
+        match rng.gen_range(0u32..10) {
+            0..=3 => {
+                cache.insert_range(start, len);
+                oracle.insert_range(start, len);
+            }
+            4..=6 => assert_eq!(
+                cache.contains_range(start, len),
+                oracle.contains_range(start, len),
+                "{ctx} contains_range"
+            ),
+            7..=8 => assert_eq!(
+                cache.cached_run_len(start, len),
+                oracle.cached_run_len(start, len),
+                "{ctx} cached_run_len"
+            ),
+            _ => {
+                cache.invalidate_range(start, len);
+                oracle.invalidate_range(start, len);
+            }
+        }
+        assert_eq!(cache.len(), oracle.blocks.len(), "{ctx} len");
+        assert_eq!(cache.is_empty(), oracle.blocks.is_empty(), "{ctx}");
+        let want: Vec<BlockNo> = oracle.order.values().copied().collect();
+        assert_eq!(cache.lru_order(), want, "{ctx} LRU order");
     }
 
     #[test]
@@ -470,30 +596,40 @@ mod tests {
                 };
                 recent[op % recent.len()] = (start, len);
                 let ctx = format!("seed {seed:#x} op {op}: {start}+{len}");
-                match rng.gen_range(0u32..10) {
-                    0..=3 => {
-                        cache.insert_range(start, len);
-                        oracle.insert_range(start, len);
-                    }
-                    4..=6 => assert_eq!(
-                        cache.contains_range(start, len),
-                        oracle.contains_range(start, len),
-                        "{ctx} contains_range"
-                    ),
-                    7..=8 => assert_eq!(
-                        cache.cached_run_len(start, len),
-                        oracle.cached_run_len(start, len),
-                        "{ctx} cached_run_len"
-                    ),
-                    _ => {
-                        cache.invalidate_range(start, len);
-                        oracle.invalidate_range(start, len);
-                    }
-                }
-                assert_eq!(cache.len(), oracle.blocks.len(), "{ctx} len");
-                assert_eq!(cache.is_empty(), oracle.blocks.is_empty(), "{ctx}");
-                let want: Vec<BlockNo> = oracle.order.values().copied().collect();
-                assert_eq!(cache.lru_order(), want, "{ctx} LRU order");
+                step(&mut cache, &mut oracle, &mut rng, (start, len), &ctx);
+            }
+        }
+    }
+
+    #[test]
+    fn matches_per_block_lru_across_buckets() {
+        for capacity in [64usize, 1_000, 4_096] {
+            let seed = 0xB0C4_E000 + capacity as u64;
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let mut cache = BlockCache::new(capacity);
+            let mut oracle = PerBlockLru::new(capacity);
+            let mut stream = 0u64;
+            for op in 0..5_000 {
+                // One op in three continues a sequential stream, half of
+                // them by exactly the rest of its bucket, so the newest run
+                // keeps ending on a bucket edge.
+                let (start, len) = if rng.gen_range(0u32..3) == 0 {
+                    let len = match rng.gen::<bool>() {
+                        true => BUCKET_BLOCKS - stream % BUCKET_BLOCKS,
+                        false => rng.gen_range(1u64..300),
+                    };
+                    let at = stream;
+                    stream = if at + len < 4_000 {
+                        at + len
+                    } else {
+                        rng.gen_range(0u64..4_000)
+                    };
+                    (at, len)
+                } else {
+                    (rng.gen_range(0u64..4_000), rng.gen_range(0u64..300))
+                };
+                let ctx = format!("seed {seed:#x} op {op}: {start}+{len}");
+                step(&mut cache, &mut oracle, &mut rng, (start, len), &ctx);
             }
         }
     }
@@ -591,6 +727,21 @@ mod tests {
     }
 
     #[test]
+    fn invalidate_over_more_buckets_than_runs_walks_the_runs() {
+        let mut c = BlockCache::new(4_096);
+        c.insert_range(0, 10);
+        c.insert_range(640, 20);
+        c.insert_range(99_000, 6);
+        c.insert_range(200_000, 8);
+        // 5..99_003 spans 1 547 buckets and the cache holds 4 runs.
+        c.invalidate_range(5, 99_003 - 5);
+        assert_eq!(c.run_list(), [(0, 5), (99_003, 3), (200_000, 8)]);
+        assert_eq!(c.free.len(), 1);
+        assert_eq!(c.cached_run_len(99_000, 10), 0);
+        assert_eq!(c.cached_run_len(99_003, 10), 3);
+    }
+
+    #[test]
     fn coverage_walks_block_adjacent_runs() {
         let mut c = BlockCache::new(64);
         c.insert_range(4, 4);
@@ -606,8 +757,8 @@ mod tests {
         let mut c = BlockCache::new(64);
         let mut peak_runs = 0;
         for i in 0..100_000u64 {
-            c.insert_range(i * 3, 2); // never block-adjacent to the tail
-            peak_runs = peak_runs.max(c.index.len());
+            c.insert_range(i * 4, 2); // never block-adjacent to the tail, nor cut
+            peak_runs = peak_runs.max(c.live_runs());
         }
         assert_eq!(peak_runs, 32);
         // One slot beyond the peak: a run is allocated before the eviction

@@ -9,7 +9,14 @@ use crate::request::{BlockRequest, IoOp};
 use crate::scheduler::{IoScheduler, SchedulerConfig};
 use crate::stats::DiskStats;
 use crate::{BlockNo, Nanos};
-use std::collections::{BTreeSet, HashMap};
+use mif_rng::IdMap;
+use std::collections::BTreeSet;
+
+/// Readahead contexts a disk keeps: the most recently used this many. Every
+/// service session reads under contexts of its own, so an unbounded map
+/// gains entries for as long as the disk lives; a context idle while this
+/// many others were used starts its ramp afresh.
+const RA_CONTEXTS: usize = 4096;
 
 /// One simulated mechanical disk.
 ///
@@ -29,7 +36,9 @@ pub struct Disk {
     pub geometry: DiskGeometry,
     scheduler: IoScheduler,
     cache: BlockCache,
-    ra_contexts: HashMap<u64, Readahead>,
+    /// Context -> its readahead state and the tick of its last use.
+    ra_contexts: IdMap<u64, (Readahead, u64)>,
+    ra_tick: u64,
     head: BlockNo,
     clock: Nanos,
     stats: DiskStats,
@@ -63,7 +72,8 @@ impl Disk {
             geometry,
             scheduler: IoScheduler::new(sched),
             cache: BlockCache::new(cache_blocks),
-            ra_contexts: HashMap::new(),
+            ra_contexts: IdMap::default(),
+            ra_tick: 0,
             head: 0,
             clock: 0,
             stats: DiskStats::default(),
@@ -302,11 +312,7 @@ impl Disk {
             }
             self.stats.cache_hits += 1;
             if let Some(c) = req.ra.or(ctx) {
-                let extra = self
-                    .ra_contexts
-                    .entry(c)
-                    .or_default()
-                    .on_read(req.start, req.len);
+                let extra = self.readahead(c).on_read(req.start, req.len);
                 let extra = extra.min(self.geometry.blocks.saturating_sub(req.end()));
                 // Async-readahead marker: top the pipeline up only when
                 // the cached runway ahead drops below half a window, and
@@ -381,11 +387,7 @@ impl Disk {
                 // A per-request context (the request's open file) overrides
                 // the batch-level context.
                 let extra = match req.ra.or(ctx) {
-                    Some(ctx) => self
-                        .ra_contexts
-                        .entry(ctx)
-                        .or_default()
-                        .on_read(req.start, req.len),
+                    Some(ctx) => self.readahead(ctx).on_read(req.start, req.len),
                     None => 0,
                 };
                 let extra = extra.min(self.geometry.blocks.saturating_sub(req.end()));
@@ -412,6 +414,22 @@ impl Disk {
 
         self.head = req.start + transfer_blocks;
         position + self.geometry.transfer_ns_at(req.start, transfer_blocks)
+    }
+
+    /// Context `ctx`'s readahead state, stamped as just used. Once the map
+    /// holds twice [`RA_CONTEXTS`], only the `RA_CONTEXTS` most recently
+    /// used stay: amortised O(1) per use, and blind to the map's order.
+    fn readahead(&mut self, ctx: u64) -> &mut Readahead {
+        if self.ra_contexts.len() >= 2 * RA_CONTEXTS {
+            let mut ticks: Vec<u64> = self.ra_contexts.values().map(|&(_, t)| t).collect();
+            let cut = ticks.len() - RA_CONTEXTS;
+            let (_, &mut oldest_kept, _) = ticks.select_nth_unstable(cut);
+            self.ra_contexts.retain(|_, &mut (_, t)| t >= oldest_kept);
+        }
+        self.ra_tick += 1;
+        let (ra, tick) = self.ra_contexts.entry(ctx).or_default();
+        *tick = self.ra_tick;
+        ra
     }
 
     /// Current disk clock (total busy time so far), in ns.
@@ -577,6 +595,33 @@ mod tests {
         let before = d.clock();
         d.submit(BlockRequest::read(far + 4, 4)); // miss: no RA was issued
         assert!(d.clock() > before);
+    }
+
+    #[test]
+    fn readahead_contexts_are_bounded_and_recent_ones_keep_their_ramp() {
+        let mut d = disk();
+        // Two streams ramp; only the first keeps reading.
+        for ctx in [1, 2] {
+            d.submit_ctx(ctx, BlockRequest::read(ctx * 1_000, 4));
+            d.submit_ctx(ctx, BlockRequest::read(ctx * 1_000 + 4, 4));
+        }
+        let (mut next, mut fresh) = (1_008, 10);
+        for _ in 0..4 {
+            for _ in 1..RA_CONTEXTS {
+                d.submit_ctx(fresh, BlockRequest::read(fresh * 64, 1));
+                fresh += 1;
+                assert!(d.ra_contexts.len() <= 2 * RA_CONTEXTS);
+            }
+            // Used within the last 4 096 contexts: still sequential, so
+            // the window keeps growing.
+            assert!(d.readahead(1).on_read(next, 4) > 0);
+            next += 4;
+        }
+        assert!(fresh - 10 >= 3 * RA_CONTEXTS as u64);
+        assert!(
+            !d.ra_contexts.contains_key(&2),
+            "the idle stream was dropped"
+        );
     }
 
     #[test]

@@ -140,7 +140,14 @@ const PIN_CHECKPOINT: usize = 500;
 /// hits, partial hits and evictions all occur. `(clock, head, stats)` is
 /// folded after every batch; the running digest is sampled every
 /// `PIN_CHECKPOINT` batches.
-fn pinned_stream_digests(seed: u64, cache_blocks: usize) -> Vec<u64> {
+///
+/// With `churn`, the sequential readers are 256 streams issuing 16–63
+/// reads per batch, a stream jumps to a fresh position under a fresh
+/// readahead context after 1–6 reads, and caches are never dropped. Over
+/// the run that is more than three times the disk's bound of 4 096 kept
+/// contexts, each used only until its stream jumps, so every context
+/// evicted by the bound is one never used again.
+fn pinned_stream_digests(seed: u64, cache_blocks: usize, churn: bool) -> Vec<u64> {
     let mut rng = SmallRng::seed_from_u64(seed);
     let mut disk = Disk::with_config(
         DiskGeometry::default(),
@@ -149,10 +156,35 @@ fn pinned_stream_digests(seed: u64, cache_blocks: usize) -> Vec<u64> {
     );
     let region = cache_blocks as u64 * 6;
     let mut streams = [0u64; 4];
+    // Churn streams: (context, next block, reads left before a jump).
+    let mut churners = vec![(0u64, 0u64, 0u32); 256];
+    let first_ctx = 1_000u64;
+    let mut next_ctx = first_ctx;
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     let mut checkpoints = Vec::new();
     for batch in 1..=PIN_BATCHES {
         match rng.gen_range(0u32..100) {
+            0..=29 if churn => {
+                let reqs = (0..rng.gen_range(16usize..64))
+                    .map(|_| {
+                        let s = &mut churners[rng.gen_range(0usize..256)];
+                        if s.2 == 0 {
+                            *s = (
+                                next_ctx,
+                                rng.gen_range(0..region * 4),
+                                rng.gen_range(1u32..7),
+                            );
+                            next_ctx += 1;
+                        }
+                        let len = rng.gen_range(1u64..9);
+                        let r = BlockRequest::read(s.1, len).with_ctx(s.0);
+                        s.1 += len;
+                        s.2 -= 1;
+                        r
+                    })
+                    .collect();
+                disk.submit_batch(reqs);
+            }
             // Interleaved sequential readers, one readahead context each.
             0..=29 => {
                 let reqs = (0..rng.gen_range(1usize..6))
@@ -223,7 +255,10 @@ fn pinned_stream_digests(seed: u64, cache_blocks: usize) -> Vec<u64> {
                 disk.submit_batch(reqs);
             }
             90..=97 => disk.invalidate(rng.gen_range(0..region * 4), rng.gen_range(1u64..300)),
-            _ => disk.drop_caches(),
+            // A cold restart, which would also forget every context and
+            // so hide the bound from the churn stream.
+            _ if !churn => disk.drop_caches(),
+            _ => {}
         }
         let s = disk.stats();
         for v in [
@@ -244,18 +279,25 @@ fn pinned_stream_digests(seed: u64, cache_blocks: usize) -> Vec<u64> {
             checkpoints.push(h);
         }
     }
+    assert!(
+        !churn || next_ctx - first_ctx > 2 * 4096,
+        "churn must outgrow the bound"
+    );
     checkpoints
 }
 
-/// Behaviour pin: the digests below were recorded with the per-block
-/// `HashMap` + `BTreeMap` LRU cache that preceded the run-based one, so any
-/// cache (or scheduler, readahead, geometry) change that alters a single
-/// hit, eviction or head movement on this stream shows up here.
+/// Behaviour pin: the first two digests were recorded with the per-block
+/// `HashMap` + `BTreeMap` LRU cache that preceded the run-based one, and
+/// the third (the service's 65 536-block cache under context churn) with
+/// the B-tree-indexed run cache and an unbounded readahead-context map, so
+/// any cache (or scheduler, readahead, geometry) change that alters a
+/// single hit, eviction or head movement on these streams shows up here.
 #[test]
 fn disk_behaviour_digest_is_pinned() {
-    const PINNED: [(usize, [u64; PIN_BATCHES / PIN_CHECKPOINT]); 2] = [
+    const PINNED: [(usize, bool, [u64; PIN_BATCHES / PIN_CHECKPOINT]); 3] = [
         (
             64,
+            false,
             [
                 0x0b746e80642fc036,
                 0x35352ca77b2380f8,
@@ -269,6 +311,7 @@ fn disk_behaviour_digest_is_pinned() {
         ),
         (
             1024,
+            false,
             [
                 0xe1daf525ed3af509,
                 0xf4989c3b7354d59d,
@@ -280,10 +323,24 @@ fn disk_behaviour_digest_is_pinned() {
                 0xba3d5bd78df4b6bc,
             ],
         ),
+        (
+            65_536,
+            true,
+            [
+                0x9c1967b59cf47261,
+                0x33aa592ca0f09bd8,
+                0x150187cfaa04f3eb,
+                0x8047aab20e3ebfbd,
+                0x7e1f700579d7321e,
+                0xd687c0e3bb9ef72e,
+                0xe7205ad30b65bdd2,
+                0x29080000881e4a9b,
+            ],
+        ),
     ];
-    for (cache_blocks, want) in PINNED {
+    for (cache_blocks, churn, want) in PINNED {
         let seed = PIN_SEED + cache_blocks as u64;
-        let got = pinned_stream_digests(seed, cache_blocks);
+        let got = pinned_stream_digests(seed, cache_blocks, churn);
         for (i, (g, w)) in got.iter().zip(&want).enumerate() {
             assert_eq!(
                 g,
