@@ -13,10 +13,16 @@
 //! 2. **One flusher.** Whoever needs durability (a `commit`, or an
 //!    appender that found the slab full) takes the single flush mutex —
 //!    rank [`LockClass::WalFlush`], outermost, held with no other lock —
-//!    and coalesces *every* staged record into one contiguous buffer,
-//!    persisted as a single journal flush. Threads queued behind the
-//!    leader usually find their record already durable when they get the
-//!    lock and return without flushing at all.
+//!    and persists *every* staged record as a single journal flush,
+//!    walking the ready slots straight into the media image. Threads
+//!    queued behind the leader usually find their record already durable
+//!    when they get the lock and return without flushing at all.
+//!
+//!    The image is kept compact: a record is stored as
+//!    `[n][rec[..n]][rec[120..128]]`, where `n` is the length of its
+//!    framed body before the trailing zero run (a write record keeps 49
+//!    bytes, not 128). This is exact for any 128 bytes, so
+//!    [`GroupCommitWal::image`] rebuilds the very bytes a flat log held.
 //! 3. **Ack after durable.** [`GroupCommitWal::commit`] returns only once
 //!    the merged flush covering the record hit the media image, so a crash
 //!    can only lose writes whose commit was never acknowledged.
@@ -37,13 +43,30 @@
 //! a [`FlushFaultPlan`] cuts one merged flush after a byte prefix and
 //! freezes the media image, while the in-memory protocol keeps running —
 //! the frozen image is exactly what a recovery sees after power-off at
-//! that instant.
+//! that instant. The torn flush keeps its whole records compact and the
+//! cut remainder (plus any zero fill) verbatim.
 
 use crate::wal::WAL_RECORD_BYTES;
 use mif_alloc::lockorder::{self, LockClass};
 use std::cell::UnsafeCell;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
+
+/// A record's framed body; the 8 bytes after it (the checksum) are kept
+/// verbatim in a compact entry.
+const BODY_BYTES: usize = WAL_RECORD_BYTES - 8;
+
+/// Length of `rec[..BODY_BYTES]` before its trailing zero run, scanned a
+/// word at a time from the end.
+fn body_len(rec: &[u8; WAL_RECORD_BYTES]) -> usize {
+    for w in (0..BODY_BYTES / 8).rev() {
+        let word = u64::from_le_bytes(rec[w * 8..w * 8 + 8].try_into().expect("an 8-byte word"));
+        if word != 0 {
+            return w * 8 + 8 - word.leading_zeros() as usize / 8;
+        }
+    }
+    0
+}
 
 /// One staging slot: a ready marker (0 = empty, `seqno + 1` = published)
 /// and the record bytes.
@@ -60,7 +83,8 @@ struct SlabSlot {
 unsafe impl Sync for SlabSlot {}
 
 /// Deterministic crash injection: cut merged flush number `cut_at_flush`
-/// (0-based) after `persist_bytes` bytes, then freeze the media image.
+/// (0-based, counted from arming) after `persist_bytes` bytes, then
+/// freeze the media image.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FlushFaultPlan {
     /// Which merged flush to tear (0 = the first flush after arming).
@@ -90,16 +114,18 @@ pub struct GroupCommitStats {
 
 /// State guarded by the flush mutex (rank [`LockClass::WalFlush`]).
 struct FlushState {
-    /// The journal's media image: every durable byte, in flush order.
-    image: Vec<u8>,
+    /// The journal's media image, one compact entry per whole record in
+    /// flush order (module docs, step 2).
+    store: Vec<u8>,
+    /// Entries in `store`.
+    entries: usize,
+    /// The torn flush's bytes past its last whole record, verbatim.
+    tail: Vec<u8>,
     /// Merged flushes persisted so far (fault-plan cursor).
     flushes_done: u64,
-    /// Armed crash plan, if any.
+    /// Armed crash plan, if any; its `cut_at_flush` is rebased onto
+    /// `flushes_done` when armed.
     fault: Option<FlushFaultPlan>,
-    /// Once a fault fired the image is frozen: later flushes still advance
-    /// the in-memory protocol but never reach the "media" again.
-    frozen: bool,
-    max_batch: u64,
 }
 
 /// The group-commit write-ahead log. See the module docs for the protocol.
@@ -111,8 +137,13 @@ pub struct GroupCommitWal {
     /// after it froze — the protocol doesn't know the media died).
     durable: AtomicU64,
     flush: Mutex<FlushState>,
+    /// Once a fault fired the image is frozen: later flushes still advance
+    /// the in-memory protocol but never reach the "media" again. Stored
+    /// (Release) before `durable` passes the torn flush.
+    frozen: AtomicBool,
     records: AtomicU64,
     flushes: AtomicU64,
+    max_batch: AtomicU64,
     parks: AtomicU64,
 }
 
@@ -132,14 +163,16 @@ impl GroupCommitWal {
             head: AtomicU64::new(0),
             durable: AtomicU64::new(0),
             flush: Mutex::new(FlushState {
-                image: Vec::new(),
+                store: Vec::new(),
+                entries: 0,
+                tail: Vec::new(),
                 flushes_done: 0,
                 fault: None,
-                frozen: false,
-                max_batch: 0,
             }),
+            frozen: AtomicBool::new(false),
             records: AtomicU64::new(0),
             flushes: AtomicU64::new(0),
+            max_batch: AtomicU64::new(0),
             parks: AtomicU64::new(0),
         }
     }
@@ -210,8 +243,16 @@ impl GroupCommitWal {
     /// Block until the record `seqno` is durable, flushing (and thereby
     /// coalescing every record staged so far) if this thread gets there
     /// first. Must be called with no other lock held.
+    ///
+    /// # Panics
+    /// If `seqno` was never appended: no flush could ever cover it.
     pub fn commit(&self, seqno: u64) {
         while self.durable.load(Ordering::Acquire) <= seqno {
+            let head = self.head.load(Ordering::Acquire);
+            assert!(
+                seqno < head,
+                "commit({seqno}) of a record never appended (head {head})"
+            );
             let mut state = self.flush.lock().unwrap();
             let _token = lockorder::acquire(LockClass::WalFlush);
             // The leader we queued behind may have covered us already.
@@ -230,8 +271,9 @@ impl GroupCommitWal {
         }
     }
 
-    /// Coalesce all staged records into one merged buffer and persist it
-    /// as a single flush. Caller holds the flush mutex.
+    /// Persist every staged record as one merged flush, walking the ready
+    /// slots straight into the compact media image. Caller holds the
+    /// flush mutex.
     fn flush_locked(&self, state: &mut FlushState) {
         let cap = self.slots.len() as u64;
         let start = self.durable.load(Ordering::Acquire);
@@ -239,8 +281,15 @@ impl GroupCommitWal {
         if end == start {
             return;
         }
-        let mut merged = Vec::with_capacity(((end - start) as usize) * WAL_RECORD_BYTES);
-        for seq in start..end {
+        let n = state.flushes_done;
+        state.flushes_done += 1;
+        // Written only under the flush mutex, which we hold.
+        let media = !self.frozen.load(Ordering::Relaxed);
+        let tear = state.fault.filter(|plan| media && plan.cut_at_flush == n);
+        let len = (end - start) as usize * WAL_RECORD_BYTES;
+        // Bytes of this flush that reach the media.
+        let keep = tear.map_or(len, |plan| plan.persist_bytes.min(len));
+        for (seq, at) in (start..end).zip((0..).step_by(WAL_RECORD_BYTES)) {
             let slot = &self.slots[(seq % cap) as usize];
             // A reserver may still be between its CAS and its publish;
             // the gap is one memcpy wide, so spin briefly.
@@ -250,46 +299,43 @@ impl GroupCommitWal {
             }
             // Safety: the ready marker's release store happens-before this
             // acquire load; the reserver is done with the slot.
-            merged.extend_from_slice(unsafe { &*slot.buf.get() });
+            let rec = unsafe { &*slot.buf.get() };
+            if media && at + WAL_RECORD_BYTES <= keep {
+                let body = body_len(rec);
+                state.store.push(body as u8);
+                state.store.extend_from_slice(&rec[..body]);
+                state.store.extend_from_slice(&rec[BODY_BYTES..]);
+                state.entries += 1;
+            } else if media && at < keep {
+                state.tail.extend_from_slice(&rec[..keep - at]);
+            }
             // Clear BEFORE advancing durable: reservation requires
             // head - durable < capacity, so the slot cannot be re-reserved
             // until durable passes it — at which point it is already 0.
             slot.ready.store(0, Ordering::Release);
         }
-        self.persist(state, &merged);
+        if let Some(plan) = tear {
+            if plan.zero_fill {
+                state.tail.resize(state.tail.len() + len - keep, 0);
+            }
+            // Before `durable` moves: a commit that sees its record
+            // durable also sees the tear.
+            self.frozen.store(true, Ordering::Release);
+        }
         self.durable.store(end, Ordering::Release);
-        let batch = end - start;
-        state.max_batch = state.max_batch.max(batch);
+        self.max_batch.fetch_max(end - start, Ordering::Relaxed);
         self.flushes.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// One merged flush reaching (or failing to reach) the media.
-    fn persist(&self, state: &mut FlushState, merged: &[u8]) {
-        let n = state.flushes_done;
-        state.flushes_done += 1;
-        if state.frozen {
-            return;
-        }
-        match state.fault {
-            Some(plan) if plan.cut_at_flush == n => {
-                let keep = plan.persist_bytes.min(merged.len());
-                state.image.extend_from_slice(&merged[..keep]);
-                if plan.zero_fill {
-                    state
-                        .image
-                        .extend(std::iter::repeat_n(0u8, merged.len() - keep));
-                }
-                state.frozen = true;
-            }
-            _ => state.image.extend_from_slice(merged),
-        }
-    }
-
-    /// Arm a crash plan (before the targeted flush happens).
+    /// Arm a crash plan; its `cut_at_flush` counts the flushes from now.
     pub fn set_fault(&self, plan: FlushFaultPlan) {
         let mut state = self.flush.lock().unwrap();
         let _token = lockorder::acquire(LockClass::WalFlush);
-        state.fault = Some(plan);
+        let cut_at_flush = state.flushes_done + plan.cut_at_flush;
+        state.fault = Some(FlushFaultPlan {
+            cut_at_flush,
+            ..plan
+        });
     }
 
     /// The journal's media image — what a recovery scan reads. If a fault
@@ -298,14 +344,23 @@ impl GroupCommitWal {
     pub fn image(&self) -> Vec<u8> {
         let state = self.flush.lock().unwrap();
         let _token = lockorder::acquire(LockClass::WalFlush);
-        state.image.clone()
+        let mut image = Vec::with_capacity(state.entries * WAL_RECORD_BYTES + state.tail.len());
+        let mut entry = &state.store[..];
+        while let Some((&body, rest)) = entry.split_first() {
+            let (head, rest) = rest.split_at(body as usize);
+            let (sum, rest) = rest.split_at(WAL_RECORD_BYTES - BODY_BYTES);
+            image.extend_from_slice(head);
+            image.resize(image.len() + BODY_BYTES - head.len(), 0);
+            image.extend_from_slice(sum);
+            entry = rest;
+        }
+        image.extend_from_slice(&state.tail);
+        image
     }
 
-    /// Has an armed fault fired (media frozen)?
+    /// Has an armed fault fired (media frozen)? One lock-free load.
     pub fn frozen(&self) -> bool {
-        let state = self.flush.lock().unwrap();
-        let _token = lockorder::acquire(LockClass::WalFlush);
-        state.frozen
+        self.frozen.load(Ordering::Acquire)
     }
 
     /// The durable watermark: every record whose seqno is strictly below
@@ -319,15 +374,10 @@ impl GroupCommitWal {
 
     /// Counters snapshot.
     pub fn stats(&self) -> GroupCommitStats {
-        let max_batch = {
-            let state = self.flush.lock().unwrap();
-            let _token = lockorder::acquire(LockClass::WalFlush);
-            state.max_batch
-        };
         GroupCommitStats {
             records: self.records.load(Ordering::Relaxed),
             flushes: self.flushes.load(Ordering::Relaxed),
-            max_batch,
+            max_batch: self.max_batch.load(Ordering::Relaxed),
             backpressure_parks: self.parks.load(Ordering::Relaxed),
             durable: self.durable.load(Ordering::Acquire),
         }
@@ -472,6 +522,199 @@ mod tests {
         wal.commit_all();
         assert!(wal.image().is_empty(), "media died at the first flush");
         assert_eq!(wal.stats().durable, 2, "protocol kept running");
+    }
+
+    #[test]
+    fn a_plan_armed_late_counts_its_cut_from_arming() {
+        let wal = GroupCommitWal::new(8);
+        for i in 0..3 {
+            let seq = wal.append(|seq| encode_write_record(seq, &wc(0, i)));
+            wal.commit(seq);
+        }
+        let before = wal.image();
+        wal.set_fault(FlushFaultPlan {
+            cut_at_flush: 0,
+            persist_bytes: 17,
+            zero_fill: false,
+        });
+        let seq = wal.append(|seq| encode_write_record(seq, &wc(0, 3)));
+        wal.commit(seq);
+        assert!(wal.frozen(), "the first flush after arming tears");
+        let image = wal.image();
+        assert_eq!(image.len(), before.len() + 17);
+        assert_eq!(image[..before.len()], before[..]);
+    }
+
+    #[test]
+    #[should_panic(expected = "never appended")]
+    fn committing_a_record_never_appended_panics() {
+        let wal = GroupCommitWal::new(8);
+        let seq = wal.append(|seq| encode_write_record(seq, &wc(0, 0)));
+        wal.commit(seq + 1);
+    }
+
+    /// The flat media image as the WAL kept it before the image went
+    /// compact: every flush appended verbatim, the torn one cut (and
+    /// maybe zero-filled), then frozen. The compact store must rebuild
+    /// these bytes exactly.
+    struct FlatMedia {
+        image: Vec<u8>,
+        flushes_done: u64,
+        /// `cut_at_flush` counts from the WAL's creation here.
+        fault: Option<FlushFaultPlan>,
+        frozen: bool,
+    }
+
+    impl FlatMedia {
+        fn persist(&mut self, merged: &[u8]) {
+            let n = self.flushes_done;
+            self.flushes_done += 1;
+            if self.frozen {
+                return;
+            }
+            match self.fault {
+                Some(plan) if plan.cut_at_flush == n => {
+                    let keep = plan.persist_bytes.min(merged.len());
+                    self.image.extend_from_slice(&merged[..keep]);
+                    if plan.zero_fill {
+                        self.image
+                            .extend(std::iter::repeat_n(0u8, merged.len() - keep));
+                    }
+                    self.frozen = true;
+                }
+                _ => self.image.extend_from_slice(merged),
+            }
+        }
+    }
+
+    /// Any 128 bytes: all-zero body, full body, a write record with
+    /// non-zero padding, a real write record, or a random body length.
+    fn storm_record(rng: &mut mif_rng::SmallRng, seq: u64) -> [u8; WAL_RECORD_BYTES] {
+        let mut rec = [0u8; WAL_RECORD_BYTES];
+        rec.iter_mut().for_each(|b| *b = rng.gen());
+        match rng.gen_range(0..5u32) {
+            0 => rec[..BODY_BYTES].fill(0),
+            1 => rec[BODY_BYTES - 1] |= 1,
+            2 => {
+                let at = rng.gen_range(47..BODY_BYTES);
+                rec = encode_write_record(seq, &wc(1, seq));
+                rec[at] = rng.gen_range(1..=255u8);
+            }
+            3 => rec = encode_write_record(seq, &wc(rng.gen_range(0..64u64), seq)),
+            _ => {
+                let body = rng.gen_range(0..=BODY_BYTES);
+                rec[body..BODY_BYTES].fill(0);
+                if body > 0 {
+                    rec[body - 1] |= 0x80;
+                }
+                assert_eq!(body_len(&rec), body);
+            }
+        }
+        rec
+    }
+
+    /// A cut at a record edge, mid-header, mid-payload, one byte short of
+    /// an edge, or past the flush's end.
+    fn storm_cut(rng: &mut mif_rng::SmallRng, cap: usize) -> usize {
+        let edge = rng.gen_range(0..=cap) * WAL_RECORD_BYTES;
+        match rng.gen_range(0..5u32) {
+            0 => edge,
+            1 => edge + rng.gen_range(1..15usize),
+            2 => edge + rng.gen_range(15..BODY_BYTES),
+            3 => edge + WAL_RECORD_BYTES - 1,
+            _ => usize::MAX,
+        }
+    }
+
+    #[test]
+    fn compact_image_equals_the_flat_image_under_a_seeded_storm() {
+        let mut rng = mif_rng::SmallRng::seed_from_u64(0xC0_4AC7);
+        let mut froze = 0;
+        for _ in 0..400 {
+            let cap = rng.gen_range(1..=16usize);
+            let wal = GroupCommitWal::new(cap);
+            let mut flat = FlatMedia {
+                image: Vec::new(),
+                flushes_done: 0,
+                fault: None,
+                frozen: false,
+            };
+            // Staged records, and how many were flushed.
+            let mut staged: Vec<u8> = Vec::new();
+            let mut durable = 0u64;
+            let arm_at = rng.gen_range(0..60u64);
+            for i in 0..rng.gen_range(1..60u64) {
+                if i == arm_at {
+                    let plan = FlushFaultPlan {
+                        cut_at_flush: rng.gen_range(0..3u64),
+                        persist_bytes: storm_cut(&mut rng, cap),
+                        zero_fill: rng.gen_bool(0.5),
+                    };
+                    wal.set_fault(plan);
+                    flat.fault = Some(FlushFaultPlan {
+                        cut_at_flush: flat.flushes_done + plan.cut_at_flush,
+                        ..plan
+                    });
+                }
+                if staged.len() == cap * WAL_RECORD_BYTES {
+                    flat.persist(&staged);
+                    durable += cap as u64;
+                    staged.clear();
+                }
+                let rec = storm_record(&mut rng, i);
+                assert_eq!(wal.append(|_| rec), i);
+                staged.extend_from_slice(&rec);
+                if rng.gen_bool(0.3) {
+                    let seq = rng.gen_range(0..=i);
+                    wal.commit(seq);
+                    if seq >= durable {
+                        flat.persist(&staged);
+                        durable = i + 1;
+                        staged.clear();
+                    }
+                    assert_eq!(wal.image(), flat.image);
+                    assert_eq!(wal.frozen(), flat.frozen);
+                }
+            }
+            wal.commit_all();
+            if !staged.is_empty() {
+                flat.persist(&staged);
+            }
+            assert_eq!(wal.image(), flat.image);
+            assert_eq!(wal.frozen(), flat.frozen);
+            assert_eq!(wal.stats().flushes, flat.flushes_done);
+            froze += flat.frozen as u32;
+        }
+        assert!(froze > 50, "the storm must tear flushes ({froze} froze)");
+    }
+
+    /// The engine's pattern: write records through a 1 024-slot slab. Each
+    /// keeps at most 56 bytes resident (the 128-byte record less its zero
+    /// padding), and the image still rebuilds to 128 bytes a record.
+    #[test]
+    fn a_write_record_keeps_at_most_56_bytes_resident() {
+        const RECORDS: u64 = 262_144;
+        let wal = GroupCommitWal::new(1024);
+        for i in 0..RECORDS {
+            wal.append(|seq| {
+                encode_write_record(
+                    seq,
+                    &WriteCommit {
+                        file: 1 + i % 8,
+                        stream: i % 512,
+                        offset: i * 16,
+                        len: 16,
+                    },
+                )
+            });
+        }
+        wal.commit_all();
+        let resident = wal.flush.lock().unwrap().store.len() as u64;
+        assert!(
+            resident <= 56 * RECORDS,
+            "{resident} bytes resident for {RECORDS} records"
+        );
+        assert_eq!(wal.image().len() as u64, RECORDS * WAL_RECORD_BYTES as u64);
     }
 
     /// The missing-backpressure regression (ISSUE 6 satellite 4): eight

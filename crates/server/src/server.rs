@@ -21,10 +21,12 @@
 //!    stopped at the crash instant even though the in-memory protocol ran
 //!    on. The worker declares the server **dead**: queues close, parked
 //!    submitters fail, and — critically — *none* of this batch's acks are
-//!    issued. `GroupCommitWal` sets `frozen` under the flush mutex before
-//!    advancing the durable counter, so a torn flush is always visible to
-//!    the commit that rode it: an ack can never be issued for a record
-//!    the media lost.
+//!    issued. `GroupCommitWal`'s flush leader stores its `frozen` flag
+//!    (Release) before it advances the durable counter (Release), and a
+//!    commit returns only after an Acquire load of that counter covers
+//!    its record — so the frozen check, one Acquire load, always sees a
+//!    tear of the flush this batch rode: an ack can never be issued for
+//!    a record the media lost.
 //!
 //! Acks are delivered into per-session inboxes (stamped with the server
 //! clock); replayed duplicates carry their original execution's ack time.
